@@ -1,7 +1,7 @@
 // Fast-sampler gate bench: the exact-vs-fast generator races at a fixed
-// 8-virtual-node cluster, reporting the core-phase speedup (grow/expand +
-// materialize booked seconds, i.e. simulated time minus the shared
-// collapse/KronFit preprocessing) and the matched-scale veracity of each
+// 8-virtual-node cluster, reporting the core-phase speedup (grow + store
+// booked seconds, i.e. simulated time minus the shared collapse/KronFit
+// preprocessing) and the matched-scale veracity of each
 // fast sampler against its exact counterpart (degree + PageRank KS,
 // evaluate_structural_ks).
 //
@@ -49,10 +49,9 @@ RaceResult run_contender(const csb::Generator& gen,
     GenResult result =
         gen.generate(seed.graph, seed.profile, cluster, config);
     double core = 0.0;
-    // "store" covers the exact generators' streamed pipeline, which books
-    // its expand/re-multiply/materialize work under store:* spans.
-    for (const std::string_view phase :
-         {"grow", "expand", "materialize", "store"}) {
+    // "store" covers every generator's streamed pipeline, which books its
+    // expand/re-multiply/emit work under store:* spans.
+    for (const std::string_view phase : {"grow", "store"}) {
       core += phase_booked_seconds(trace.spans(), phase);
     }
     if (core < best.core_s) {
@@ -122,7 +121,7 @@ int main(int argc, char** argv) {
                  cell_fixed(pgpba_ks.degree_ks, 4),
                  cell_fixed(pgpba_ks.pagerank_ks, 4)});
   table.print();
-  std::cout << "\n(core_s = grow/expand + materialize booked seconds; KS = "
+  std::cout << "\n(core_s = grow + store booked seconds; KS = "
                "degree / PageRank distance fast-vs-exact at matched "
                "scale)\n";
 

@@ -6,7 +6,7 @@
 // PGPBA is consistently faster; PGPBA runs with fraction = 2 so both double
 // the graph per iteration (Kronecker parity). The fast samplers must track
 // the same linear shape with a much smaller constant on the expansion
-// phases (the `core` columns: grow/expand/generate + materialize, i.e.
+// phases (the `core` columns: the grow/generate/store phases, i.e.
 // simulated time minus the shared collapse/KronFit preprocessing).
 //
 // All four contenders dispatch through the Generator registry; row labels
@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
 
   ReportTable table("generation time (simulated seconds)",
                     {"generator", "target_edges", "edges", "simulated_s",
-                     "expand_s", "core_s", "core_eps"});
+                     "core_s", "core_eps"});
   constexpr int kRepeats = 3;
   for (const std::uint64_t factor : {4, 8, 16, 32, 64, 128}) {
     const std::uint64_t target = factor * seed.graph.num_edges();
@@ -62,7 +62,6 @@ int main(int argc, char** argv) {
       // Best of kRepeats, same policy as fig12/serial_fraction: the minimum
       // simulated time is the least host-noise-contaminated sample.
       double best_simulated = 1e18;
-      double best_expand = 0.0;
       double best_core = 0.0;
       std::uint64_t edges_out = 0;
       for (int r = 0; r < kRepeats; ++r) {
@@ -74,18 +73,14 @@ int main(int argc, char** argv) {
         config.extra = contender.extra;
         const GenResult result = contender.gen->generate(
             seed.graph, seed.profile, cluster, config);
-        double expand = 0.0;
-        // "store" covers the exact generators' streamed pipeline, which
-        // books its expand/re-multiply work under store:* spans.
-        for (const std::string_view phase :
-             {"grow", "expand", "generate", "store"}) {
-          expand += phase_booked_seconds(trace.spans(), phase);
+        double core = 0.0;
+        // "store" covers every generator's streamed pipeline, which books
+        // its expand/re-multiply/emit work under store:* spans.
+        for (const std::string_view phase : {"grow", "generate", "store"}) {
+          core += phase_booked_seconds(trace.spans(), phase);
         }
-        const double core =
-            expand + phase_booked_seconds(trace.spans(), "materialize");
         if (result.metrics.simulated_seconds < best_simulated) {
           best_simulated = result.metrics.simulated_seconds;
-          best_expand = expand;
           best_core = core;
           edges_out = result.graph.num_edges();
         }
@@ -94,7 +89,7 @@ int main(int argc, char** argv) {
       table.add_row(
           {std::string(contender.gen->name()), cell_u64(target),
            cell_u64(edges_out), cell_fixed(best_simulated, 3),
-           cell_sci(best_expand, 3), cell_fixed(best_core, 4),
+           cell_fixed(best_core, 4),
            cell_u64(best_core > 0.0
                         ? static_cast<std::uint64_t>(edges / best_core)
                         : 0)});
@@ -102,9 +97,9 @@ int main(int argc, char** argv) {
   }
   table.print();
   std::cout << "\n(simulated seconds on 60 virtual nodes x 12 cores; "
-               "expand_s = grow/expand booked seconds, core_s adds "
-               "materialize, core_eps = edges / core_s; check linearity per "
-               "generator and the fast-vs-exact expand_s ratios — the gated "
+               "core_s = grow/generate/store booked seconds, core_eps = "
+               "edges / core_s; check linearity per generator and the "
+               "fast-vs-exact core_s ratios — the gated "
                "best-of-N race at CI scale lives in bench/fast_samplers)\n";
   if (const std::string json = json_output_path(argc, argv); !json.empty()) {
     write_trace_report(json, "fig09_generation_time", {&table});

@@ -20,8 +20,8 @@
 //     works on single-core machines where the speedup is ~1.
 //
 // A fourth race covers the exact generator: exact PGSK streamed through its
-// out-of-core store pipeline vs the retired store:replay shape (classic
-// in-RAM generate, then replay into the same store). The streamed path's
+// out-of-core store pipeline vs the retired store:replay shape (in-RAM
+// generate, then replay into the same store). The streamed path's
 // peak-RSS growth is asserted against its dedup + CSR budgets in-process,
 // and its edges/second is floored by the regression gate.
 //
@@ -128,8 +128,7 @@ int main(int argc, char** argv) {
     FinishTimingStore timed(store);
     total_samples.push_back(bench::wall_seconds([&] {
       const StoreGenResult result = pgsk_fast_generate_into(
-          seed.graph, seed.profile, cluster, options, FastSinkOptions{},
-          timed);
+          seed.graph, seed.profile, cluster, options, timed);
       edges = result.edges;
     }));
     finish_samples.push_back(timed.finish_seconds());
@@ -160,8 +159,7 @@ int main(int argc, char** argv) {
 
   // Exact PGSK: the streamed store pipeline (expand → external distinct →
   // re-multiply → emit, all into the shard store) raced against the retired
-  // store:replay shape (classic in-RAM generate, then replay into the same
-  // store). The streamed path runs first, against the current high-water
+  // store:replay shape (in-RAM generate, then replay into the same store). The streamed path runs first, against the current high-water
   // mark, so its peak-RSS growth can be asserted before the replay path
   // materializes the full graph in RAM and raises VmHWM for good.
   const fs::path spill =
@@ -214,9 +212,9 @@ int main(int argc, char** argv) {
         pool);
     ShardStore store(exact_shard_store());
     exact_replay_samples.push_back(bench::wall_seconds([&] {
-      const GenResult classic =
+      const GenResult in_ram =
           pgsk_generate(seed.graph, seed.profile, cluster, exact_options);
-      replay_graph_into(classic.graph, store, exact_options.seed);
+      replay_graph_into(in_ram.graph, store, exact_options.seed);
     }));
   }
   fs::remove_all(scratch);
@@ -231,7 +229,7 @@ int main(int argc, char** argv) {
     MemoryStore store;
     memory_samples.push_back(bench::wall_seconds([&] {
       (void)pgsk_fast_generate_into(seed.graph, seed.profile, cluster,
-                                    options, FastSinkOptions{}, store);
+                                    options, store);
     }));
   }
 

@@ -64,11 +64,13 @@ done
 # decode, sharded flow assembly, two-pass graph build, pool-dispatched
 # profile fits, chunked stats sorts) and the parallel store pipeline
 # (per-shard CSR counting over shared atomics, range-partitioned scatter
-# with write-behind, fanned-out verify, parallel external-sort merges).
+# with write-behind, fanned-out verify, parallel external-sort merges), and
+# the MemoryStore, whose put_edges validates chunks on pool workers under
+# every in-RAM generate() (the golden generator digests run through it).
 # Only the relevant test binaries are built; the uppercase suite filter
 # skips the lowercase *_NOT_BUILT placeholders gtest_discover_tests
 # registers for unbuilt targets.
-TSAN_FILTER="${2:-ThreadPool|ParallelFor|ParallelAssembly|FlowAssembler|SeedPipeline|SeedDeterminism|SeedProfile|GraphFromNetflow|Conditional|Empirical|PcapFile|ShardStore|ExternalDistinct}"
+TSAN_FILTER="${2:-ThreadPool|ParallelFor|ParallelAssembly|FlowAssembler|SeedPipeline|SeedDeterminism|SeedProfile|GraphFromNetflow|Conditional|Empirical|PcapFile|ShardStore|ExternalDistinct|MemoryStore|GeneratorGolden}"
 
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -43,9 +43,8 @@ echo "== producing traces =="
 "$CSBGEN" generate --seed="$TMP/seed.bin" --out="$TMP/pgsk.bin" \
   --profile="$TMP/seed.profile" --algo=pgsk --edges=40000 \
   --nodes=4 --cores=2 --trace="$TMP/pgsk.ndjson"
-# The fast samplers emit the ball-drop / skip-ahead span families; their
-# traces must pass the same schema + stage-grammar validation as the exact
-# generators'.
+# The fast samplers' traces (ball-drop:plan plus the store:* pipeline) must
+# pass the same schema + stage-grammar validation as the exact generators'.
 "$CSBGEN" generate --seed="$TMP/seed.bin" --out="$TMP/pgpba-fast.bin" \
   --profile="$TMP/seed.profile" --algo=pgpba-fast --edges=40000 \
   --nodes=4 --cores=2 --trace="$TMP/pgpba-fast.ndjson"

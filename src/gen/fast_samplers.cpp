@@ -3,13 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <optional>
 #include <utility>
 
-#include "gen/materialize.hpp"
-#include "gen/properties.hpp"
 #include "gen/sink_stages.hpp"
-#include "mr/dataset.hpp"
 #include "store/external_sort.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
@@ -126,235 +122,10 @@ std::vector<Edge> chung_lu_ball_drop(const ChungLuLevels& levels,
   return out;
 }
 
-GenResult pgsk_fast_generate(const PropertyGraph& seed_graph,
-                             const SeedProfile& profile, ClusterSim& cluster,
-                             const PgskFastOptions& options) {
-  CSB_CHECK_MSG(seed_graph.num_edges() > 0, "PGSK needs a non-empty seed");
-  CSB_CHECK_MSG(options.desired_edges > 0, "desired_edges must be positive");
-  cluster.reset_metrics();
-
-  GenResult result;
-  TraceRecorder* const trace = cluster.trace();
-  const std::size_t parts = options.partitions != 0
-                                ? options.partitions
-                                : 2 * cluster.config().total_cores();
-
-  // Shared prefix with the exact sampler: same collapse, same KronFit, same
-  // sizing — the race differs only in how the k-th Kronecker power is drawn.
-  const PropertyGraph simple = pgsk_collapse(seed_graph, cluster, parts);
-  const PgskInitiatorPlan fitted = pgsk_fit_and_plan(
-      simple, profile, cluster, options.fit,
-      PgskSizing{.desired_edges = options.desired_edges,
-                 .force_k = options.force_k,
-                 .rescale_to_target = options.rescale_to_target});
-
-  // Ball-dropping expansion: exactly plan.kron_edges placements, one pass,
-  // no oversample rounds and no distinct() dedup (collisions are the
-  // vanishing-probability deviation the Chung-Lu approximation accepts).
-  const std::uint64_t place =
-      std::max<std::uint64_t>(1, fitted.plan.kron_edges);
-  std::optional<Dataset<Edge>> kron_edges;
-  {
-    PhaseScope phase(trace, "expand");
-    ChungLuLevels levels;
-    cluster.run_serial("ball-drop:plan", [&] {
-      levels = chung_lu_levels(fitted.initiator, fitted.plan.k, options.noise,
-                               options.seed);
-    });
-    const std::size_t chunk_size = fast_sampler_chunk_size(place, parts);
-    const auto chunks =
-        make_fixed_chunks(0, static_cast<std::size_t>(place), chunk_size);
-    std::vector<std::vector<Edge>> placed(chunks.size());
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(chunks.size());
-    for (const ChunkRange& chunk : chunks) {
-      tasks.push_back([&levels, &placed, seed = options.seed, chunk] {
-        auto& out = placed[chunk.chunk_index];
-        out.resize(chunk.end - chunk.begin);
-        ball_drop_chunk(levels, seed, chunk, out.data());
-      });
-    }
-    cluster.run_stage("ball-drop:place", std::move(tasks));
-    kron_edges.emplace(
-        Dataset<Edge>(cluster, std::move(placed)).coalesced(parts));
-  }
-
-  const Dataset<Edge> edges =
-      pgsk_re_multiply(*kron_edges, profile, options.seed, trace);
-
-  result.iterations = fitted.plan.k;
-
-  const std::uint64_t n = 1ULL << fitted.plan.k;
-  {
-    PhaseScope phase(trace, "materialize");
-    result.graph =
-        materialize_graph(edges, n, options.with_properties, cluster);
-  }
-  result.structure_seconds = cluster.metrics().simulated_seconds;
-
-  if (options.with_properties) {
-    const double before = cluster.metrics().simulated_seconds;
-    PhaseScope phase(trace, "properties");
-    assign_properties(result.graph, profile, cluster,
-                      options.seed ^ 0xbeefULL);
-    result.property_seconds = cluster.metrics().simulated_seconds - before;
-  }
-  result.metrics = cluster.metrics();
-  return result;
-}
-
-// ----------------------------------------------------------- pgpba-fast
-
-VertexId skip_ahead_destination(const SkipAheadLayout& layout,
-                                std::uint64_t seed, std::uint64_t index) {
-  // Inherit the destination of a uniformly drawn earlier edge — the exact
-  // PGPBA attachment kernel (destination chosen proportional to in-degree).
-  // A generated edge's destination is replayed from its own counter stream;
-  // the chain index strictly decreases, so it reaches a seed edge after
-  // expected O(log(index / seed_edges)) hops.
-  std::uint64_t j = counter_rng(seed ^ kSkipAheadSalt, index).uniform(index);
-  while (j >= layout.seed_edges) {
-    j = counter_rng(seed ^ kSkipAheadSalt, j).uniform(j);
-  }
-  return layout.seed_destinations[j];
-}
-
-void skip_ahead_chunk(const SkipAheadLayout& layout, std::uint64_t seed,
-                      const ChunkRange& chunk, Edge* out) {
-  for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
-    const VertexId src =
-        layout.first_new_vertex +
-        (i - layout.seed_edges) / layout.edges_per_vertex;
-    out[i - chunk.begin] = Edge{src, skip_ahead_destination(layout, seed, i)};
-  }
-}
-
-std::vector<Edge> skip_ahead_attach(const SkipAheadLayout& layout,
-                                    std::uint64_t total_edges,
-                                    std::uint64_t seed,
-                                    std::size_t chunk_size, ThreadPool* pool) {
-  CSB_CHECK_MSG(total_edges >= layout.seed_edges,
-                "total_edges must include the seed edges");
-  std::vector<Edge> out(total_edges - layout.seed_edges);
-  Edge* const data = out.data();
-  const auto base = static_cast<std::size_t>(layout.seed_edges);
-  parallel_for_fixed_chunks(
-      pool, base, static_cast<std::size_t>(total_edges), chunk_size,
-      [&layout, seed, data, base](const ChunkRange& chunk) {
-        skip_ahead_chunk(layout, seed, chunk, data + (chunk.begin - base));
-      });
-  return out;
-}
-
-GenResult pgpba_fast_generate(const PropertyGraph& seed_graph,
-                              const SeedProfile& profile, ClusterSim& cluster,
-                              const PgpbaFastOptions& options) {
-  CSB_CHECK_MSG(seed_graph.num_edges() > 0, "PGPBA needs a non-empty seed");
-  CSB_CHECK_MSG(options.desired_edges > 0, "desired_edges must be positive");
-  CSB_CHECK_MSG(options.edges_per_vertex >= 1,
-                "edges_per_vertex must be at least 1");
-  cluster.reset_metrics();
-
-  GenResult result;
-  TraceRecorder* const trace = cluster.trace();
-  const std::size_t parts = options.partitions != 0
-                                ? options.partitions
-                                : 2 * cluster.config().total_cores();
-
-  const std::uint64_t seed_edge_count = seed_graph.num_edges();
-  const std::uint64_t total =
-      std::max(options.desired_edges, seed_edge_count);
-  const std::uint64_t grown = total - seed_edge_count;
-  const std::uint64_t m = options.edges_per_vertex;
-  const std::uint64_t num_vertices =
-      seed_graph.num_vertices() + (grown + m - 1) / m;
-
-  std::optional<Dataset<Edge>> edges;
-  {
-    const PhaseScope grow_scope(trace, "grow");
-
-    // Re-emit the seed's edge list as the output's head partitions in fixed
-    // chunks; the destination table the chains terminate in is the seed
-    // graph's own destination column, no flattening needed.
-    const auto src = seed_graph.sources();
-    const auto dst = seed_graph.destinations();
-    const std::size_t seed_chunk =
-        fast_sampler_chunk_size(seed_edge_count, parts);
-    const auto seed_chunks = make_fixed_chunks(
-        0, static_cast<std::size_t>(seed_edge_count), seed_chunk);
-    std::vector<std::vector<Edge>> seed_parts(seed_chunks.size());
-    {
-      std::vector<std::function<void()>> tasks;
-      tasks.reserve(seed_chunks.size());
-      for (const ChunkRange& chunk : seed_chunks) {
-        tasks.push_back([&, chunk] {
-          auto& out = seed_parts[chunk.chunk_index];
-          out.resize(chunk.end - chunk.begin);
-          for (std::size_t e = chunk.begin; e < chunk.end; ++e) {
-            out[e - chunk.begin] = Edge{src[e], dst[e]};
-          }
-        });
-      }
-      cluster.run_stage("skip-ahead:endpoints", std::move(tasks));
-    }
-
-    // One embarrassingly parallel pass resolves every new edge: no growth
-    // rounds, no shared degree array, per-edge counter-mode streams.
-    SkipAheadLayout layout;
-    layout.seed_destinations = dst;
-    layout.seed_edges = seed_edge_count;
-    layout.first_new_vertex = seed_graph.num_vertices();
-    layout.edges_per_vertex = options.edges_per_vertex;
-    const std::size_t chunk_size = fast_sampler_chunk_size(grown, parts);
-    const auto chunks =
-        make_fixed_chunks(static_cast<std::size_t>(seed_edge_count),
-                          static_cast<std::size_t>(total), chunk_size);
-    std::vector<std::vector<Edge>> grown_parts(chunks.size());
-    {
-      std::vector<std::function<void()>> tasks;
-      tasks.reserve(chunks.size());
-      for (const ChunkRange& chunk : chunks) {
-        tasks.push_back([&layout, &grown_parts, seed = options.seed, chunk] {
-          auto& out = grown_parts[chunk.chunk_index];
-          out.resize(chunk.end - chunk.begin);
-          skip_ahead_chunk(layout, seed, chunk, out.data());
-        });
-      }
-      cluster.run_stage("skip-ahead:attach", std::move(tasks));
-    }
-
-    std::vector<std::vector<Edge>> partitions = std::move(seed_parts);
-    for (auto& part : grown_parts) partitions.push_back(std::move(part));
-    edges.emplace(
-        Dataset<Edge>(cluster, std::move(partitions)).coalesced(parts));
-  }
-  result.iterations = 1;
-
-  {
-    PhaseScope phase(trace, "materialize");
-    result.graph = materialize_graph(*edges, num_vertices,
-                                     options.with_properties, cluster);
-  }
-  result.structure_seconds = cluster.metrics().simulated_seconds;
-
-  if (options.with_properties) {
-    const double before = cluster.metrics().simulated_seconds;
-    PhaseScope phase(trace, "properties");
-    assign_properties(result.graph, profile, cluster,
-                      options.seed ^ 0xfacadeULL);
-    result.property_seconds = cluster.metrics().simulated_seconds - before;
-  }
-  result.metrics = cluster.metrics();
-  return result;
-}
-
-// ------------------------------------------------------------- sink paths
-
 StoreGenResult pgsk_fast_generate_into(const PropertyGraph& seed_graph,
                                        const SeedProfile& profile,
                                        ClusterSim& cluster,
                                        const PgskFastOptions& options,
-                                       const FastSinkOptions& sink,
                                        GraphStore& store) {
   CSB_CHECK_MSG(seed_graph.num_edges() > 0, "PGSK needs a non-empty seed");
   CSB_CHECK_MSG(options.desired_edges > 0, "desired_edges must be positive");
@@ -391,7 +162,7 @@ StoreGenResult pgsk_fast_generate_into(const PropertyGraph& seed_graph,
   std::uint64_t total_edges = 0;
   {
     PhaseScope phase(trace, "store");
-    if (!sink.dedup) {
+    if (!options.dedup) {
       // Counting pass: re-multiplied size of each ball-drop chunk. The
       // chunk regenerates from its counter stream both here and in the
       // emit pass — no edge is ever resident twice.
@@ -453,8 +224,8 @@ StoreGenResult pgsk_fast_generate_into(const PropertyGraph& seed_graph,
       CSB_CHECK_MSG(fitted.plan.k <= 32,
                     "dedup packs endpoints into 64-bit keys (k <= 32)");
       ExternalDistinct distinct(ExternalDistinctOptions{
-          .spill_directory = sink.spill_directory,
-          .memory_budget_bytes = sink.dedup_budget_bytes,
+          .spill_directory = options.spill_directory,
+          .memory_budget_bytes = options.dedup_budget_bytes,
           .pool = &cluster.pool()});
       {
         std::vector<std::function<void()>> tasks;
@@ -528,6 +299,58 @@ StoreGenResult pgsk_fast_generate_into(const PropertyGraph& seed_graph,
   return result;
 }
 
+GenResult pgsk_fast_generate(const PropertyGraph& seed_graph,
+                             const SeedProfile& profile, ClusterSim& cluster,
+                             const PgskFastOptions& options) {
+  return generate_in_memory([&](GraphStore& store) {
+    return pgsk_fast_generate_into(seed_graph, profile, cluster, options,
+                                   store);
+  });
+}
+
+// ----------------------------------------------------------- pgpba-fast
+
+VertexId skip_ahead_destination(const SkipAheadLayout& layout,
+                                std::uint64_t seed, std::uint64_t index) {
+  // Inherit the destination of a uniformly drawn earlier edge — the exact
+  // PGPBA attachment kernel (destination chosen proportional to in-degree).
+  // A generated edge's destination is replayed from its own counter stream;
+  // the chain index strictly decreases, so it reaches a seed edge after
+  // expected O(log(index / seed_edges)) hops.
+  std::uint64_t j = counter_rng(seed ^ kSkipAheadSalt, index).uniform(index);
+  while (j >= layout.seed_edges) {
+    j = counter_rng(seed ^ kSkipAheadSalt, j).uniform(j);
+  }
+  return layout.seed_destinations[j];
+}
+
+void skip_ahead_chunk(const SkipAheadLayout& layout, std::uint64_t seed,
+                      const ChunkRange& chunk, Edge* out) {
+  for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
+    const VertexId src =
+        layout.first_new_vertex +
+        (i - layout.seed_edges) / layout.edges_per_vertex;
+    out[i - chunk.begin] = Edge{src, skip_ahead_destination(layout, seed, i)};
+  }
+}
+
+std::vector<Edge> skip_ahead_attach(const SkipAheadLayout& layout,
+                                    std::uint64_t total_edges,
+                                    std::uint64_t seed,
+                                    std::size_t chunk_size, ThreadPool* pool) {
+  CSB_CHECK_MSG(total_edges >= layout.seed_edges,
+                "total_edges must include the seed edges");
+  std::vector<Edge> out(total_edges - layout.seed_edges);
+  Edge* const data = out.data();
+  const auto base = static_cast<std::size_t>(layout.seed_edges);
+  parallel_for_fixed_chunks(
+      pool, base, static_cast<std::size_t>(total_edges), chunk_size,
+      [&layout, seed, data, base](const ChunkRange& chunk) {
+        skip_ahead_chunk(layout, seed, chunk, data + (chunk.begin - base));
+      });
+  return out;
+}
+
 StoreGenResult pgpba_fast_generate_into(const PropertyGraph& seed_graph,
                                         const SeedProfile& profile,
                                         ClusterSim& cluster,
@@ -563,8 +386,8 @@ StoreGenResult pgpba_fast_generate_into(const PropertyGraph& seed_graph,
     });
 
     // Seed edges copy straight from the seed columns; grown edges resolve
-    // via skip-ahead chains — both land at their global offsets, so the
-    // stream equals the classic concatenation order exactly.
+    // via skip-ahead chains — both land at their global offsets: seed
+    // edges first, then generated edges in index order.
     const auto src = seed_graph.sources();
     const auto dst = seed_graph.destinations();
     SkipAheadLayout layout;
@@ -615,6 +438,15 @@ StoreGenResult pgpba_fast_generate_into(const PropertyGraph& seed_graph,
   result.vertices = num_vertices;
   result.edges = total;
   return result;
+}
+
+GenResult pgpba_fast_generate(const PropertyGraph& seed_graph,
+                              const SeedProfile& profile, ClusterSim& cluster,
+                              const PgpbaFastOptions& options) {
+  return generate_in_memory([&](GraphStore& store) {
+    return pgpba_fast_generate_into(seed_graph, profile, cluster, options,
+                                    store);
+  });
 }
 
 }  // namespace csb

@@ -35,12 +35,14 @@
 // embarrassingly parallel and byte-identical at any worker count.
 //
 // Both generators share the exact pipeline's envelope: pgsk-fast reuses
-// collapse + KronFit + sizing + re-multiply from gen/pgsk.hpp, and both
-// flow through materialize/properties unchanged.
+// collapse + KronFit + sizing from gen/pgsk.hpp and the exact re-multiply
+// draw, and both stream into a GraphStore through the shared property
+// stage (gen/sink_stages.hpp).
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "gen/generator.hpp"
@@ -81,8 +83,8 @@ void ball_drop_chunk(const ChungLuLevels& levels, std::uint64_t seed,
 
 /// Ball-drops `edges` edges over the pool via parallel_for_fixed_chunks;
 /// a null pool runs the identical decomposition inline. Exposed for the
-/// determinism tests and the micro benches; pgsk_fast_generate runs the
-/// same chunks as cluster stages for makespan booking.
+/// determinism tests and the micro benches; pgsk_fast_generate_into runs
+/// the same chunks as cluster stages for makespan booking.
 std::vector<Edge> chung_lu_ball_drop(const ChungLuLevels& levels,
                                      std::uint64_t edges, std::uint64_t seed,
                                      std::size_t chunk_size, ThreadPool* pool);
@@ -99,11 +101,31 @@ struct PgskFastOptions {
   bool rescale_to_target = true;
   /// Noisy-SKG per-level amplitude in [0, 0.5); 0 = clean Chung-Lu mixture.
   double noise = 0.0;
+  /// Drop duplicate ball-drop placements through an external-sort distinct
+  /// before re-multiply — the out-of-core stand-in for exact PGSK's
+  /// distinct(). Changes the edge stream (sorted unique placements), so it
+  /// is opt-in.
+  bool dedup = false;
+  /// In-RAM budget of the dedup distinct before sorted runs spill to disk.
+  std::uint64_t dedup_budget_bytes = 256ULL << 20;
+  /// Spill directory for dedup runs (required once the budget overflows).
+  std::string spill_directory;
 };
 
 /// The pgsk pipeline with the recursive-descent expansion replaced by the
-/// Chung-Lu ball-dropping sampler: collapse -> KronFit -> ball-drop ->
-/// re-multiply -> materialize -> properties.
+/// Chung-Lu ball-dropping sampler, streamed into `store` chunk by chunk:
+/// collapse -> KronFit -> a store:count stage sizing the re-multiplied
+/// output per ball-drop chunk -> store:emit regenerating each chunk at its
+/// prefix-sum offset (or, with dedup, store:distinct then an emit over the
+/// sorted-unique keys) -> store:props -> store:finalize. Resident memory is
+/// O(chunk) without dedup, never O(|E|).
+StoreGenResult pgsk_fast_generate_into(const PropertyGraph& seed_graph,
+                                       const SeedProfile& profile,
+                                       ClusterSim& cluster,
+                                       const PgskFastOptions& options,
+                                       GraphStore& store);
+
+/// pgsk_fast_generate_into captured by a MemoryStore.
 GenResult pgsk_fast_generate(const PropertyGraph& seed_graph,
                              const SeedProfile& profile, ClusterSim& cluster,
                              const PgskFastOptions& options);
@@ -150,9 +172,18 @@ struct PgpbaFastOptions {
   bool with_properties = true;
 };
 
-/// Skip-ahead preferential attachment: one parallel pass generates all
-/// desired_edges - seed_edges new edges, then materialize/properties run
-/// unchanged. The output has exactly desired_edges edges.
+/// Skip-ahead preferential attachment streamed into `store`: seed edges
+/// re-emitted and skip-ahead edges resolved directly at their global
+/// offsets in one parallel store:emit pass, properties sampled per chunk
+/// (store:props), store:finalize seals. The output has exactly
+/// desired_edges edges.
+StoreGenResult pgpba_fast_generate_into(const PropertyGraph& seed_graph,
+                                        const SeedProfile& profile,
+                                        ClusterSim& cluster,
+                                        const PgpbaFastOptions& options,
+                                        GraphStore& store);
+
+/// pgpba_fast_generate_into captured by a MemoryStore.
 GenResult pgpba_fast_generate(const PropertyGraph& seed_graph,
                               const SeedProfile& profile, ClusterSim& cluster,
                               const PgpbaFastOptions& options);
@@ -164,44 +195,5 @@ GenResult pgpba_fast_generate(const PropertyGraph& seed_graph,
 /// the output bytes, is fixed per configuration.
 std::size_t fast_sampler_chunk_size(std::uint64_t edges,
                                     std::size_t partitions);
-
-// ------------------------------------------------------------- sink paths
-
-/// Knobs of the sink-based (GraphStore) runs that have no classic-path
-/// equivalent.
-struct FastSinkOptions {
-  /// pgsk-fast only: drop duplicate ball-drop placements through an
-  /// external-sort distinct before re-multiply — the out-of-core stand-in
-  /// for exact PGSK's in-RAM distinct(). Changes the edge stream (sorted
-  /// unique placements), so it is opt-in.
-  bool dedup = false;
-  /// In-RAM budget of the distinct before sorted runs spill to disk.
-  std::uint64_t dedup_budget_bytes = 256ULL << 20;
-  /// Spill directory for dedup runs (required once the budget overflows).
-  std::string spill_directory;
-};
-
-/// Streams the pgsk-fast pipeline into `store` shard chunk by shard chunk:
-/// a store:count stage sizes the re-multiplied output per ball-drop chunk,
-/// then store:emit regenerates each chunk and writes it at its prefix-sum
-/// offset, store:props samples property chunks, and store:finalize seals
-/// the store. Resident memory is O(chunk), never O(|E|). For a MemoryStore
-/// (dedup off) the stored graph is byte-identical to pgsk_fast_generate's.
-StoreGenResult pgsk_fast_generate_into(const PropertyGraph& seed_graph,
-                                       const SeedProfile& profile,
-                                       ClusterSim& cluster,
-                                       const PgskFastOptions& options,
-                                       const FastSinkOptions& sink,
-                                       GraphStore& store);
-
-/// Streams the pgpba-fast pipeline into `store`: seed edges re-emitted and
-/// skip-ahead edges resolved directly at their global offsets (store:emit),
-/// properties sampled per chunk (store:props), store:finalize seals. For a
-/// MemoryStore the stored graph is byte-identical to pgpba_fast_generate's.
-StoreGenResult pgpba_fast_generate_into(const PropertyGraph& seed_graph,
-                                        const SeedProfile& profile,
-                                        ClusterSim& cluster,
-                                        const PgpbaFastOptions& options,
-                                        GraphStore& store);
 
 }  // namespace csb

@@ -12,7 +12,7 @@
 #include "gen/fast_samplers.hpp"
 #include "gen/pgpba.hpp"
 #include "gen/pgsk.hpp"
-#include "gen/properties.hpp"
+#include "gen/sink_stages.hpp"
 #include "graph/algorithms.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
@@ -101,27 +101,25 @@ void validate_extra_options(const std::vector<OptionSpec>& options,
   }
 }
 
-StoreGenResult Generator::generate_into(const PropertyGraph& seed,
-                                        const SeedProfile& profile,
-                                        ClusterSim& cluster,
-                                        const GenConfig& config,
-                                        GraphStore& store) const {
-  GenResult classic = generate(seed, profile, cluster, config);
-  TraceRecorder* const trace = cluster.trace();
-  {
-    PhaseScope phase(trace, "store");
-    cluster.run_serial("store:replay", [&] {
-      replay_graph_into(classic.graph, store, config.seed);
-    });
-  }
-  StoreGenResult result;
-  result.metrics = cluster.metrics();
-  result.structure_seconds = classic.structure_seconds;
-  result.property_seconds = classic.property_seconds;
-  result.vertices = classic.graph.num_vertices();
-  result.edges = classic.graph.num_edges();
-  result.iterations = classic.iterations;
+GenResult generate_in_memory(
+    const std::function<StoreGenResult(GraphStore&)>& emit) {
+  MemoryStore store;
+  const StoreGenResult streamed = emit(store);
+  GenResult result;
+  result.graph = store.take_graph();
+  result.metrics = streamed.metrics;
+  result.structure_seconds = streamed.structure_seconds;
+  result.property_seconds = streamed.property_seconds;
+  result.iterations = streamed.iterations;
   return result;
+}
+
+GenResult Generator::generate(const PropertyGraph& seed,
+                              const SeedProfile& profile, ClusterSim& cluster,
+                              const GenConfig& config) const {
+  return generate_in_memory([&](GraphStore& store) {
+    return generate_into(seed, profile, cluster, config, store);
+  });
 }
 
 namespace {
@@ -140,26 +138,46 @@ std::uint64_t derived_vertices(const PropertyGraph& seed,
 }
 
 /// Runs a driver-serial baseline under the cluster (so it books as one
-/// "generate" serial segment) and optionally samples properties — the shape
-/// shared by every §II reference generator.
-GenResult run_serial_baseline(TraceRecorder* trace, ClusterSim& cluster,
-                              const SeedProfile& profile,
-                              const GenConfig& config,
-                              const std::function<PropertyGraph()>& build) {
+/// "generate" serial segment), then streams the built edge columns into
+/// the store and optionally samples properties — the shape shared by every
+/// §II reference generator.
+StoreGenResult run_serial_baseline(
+    ClusterSim& cluster, const SeedProfile& profile, const GenConfig& config,
+    GraphStore& store, const std::function<PropertyGraph()>& build) {
   cluster.reset_metrics();
-  GenResult result;
+  TraceRecorder* const trace = cluster.trace();
+  PropertyGraph graph;
   {
     PhaseScope phase(trace, "generate");
-    cluster.run_serial("generate", [&] { result.graph = build(); });
+    cluster.run_serial("generate", [&] { graph = build(); });
   }
+  const std::uint64_t edges = graph.num_edges();
+  {
+    PhaseScope phase(trace, "store");
+    cluster.run_serial("store:begin", [&] {
+      store.begin(StoreHeader{.vertices = graph.num_vertices(),
+                              .edges = edges,
+                              .with_properties = config.with_properties,
+                              .seed = config.seed});
+    });
+    emit_columns_into(graph.sources(), graph.destinations(), store, cluster);
+  }
+  StoreGenResult result;
   result.structure_seconds = cluster.metrics().simulated_seconds;
   if (config.with_properties) {
-    const double before = cluster.metrics().simulated_seconds;
     PhaseScope phase(trace, "properties");
-    assign_properties(result.graph, profile, cluster, config.seed ^ 0xfacadeULL);
-    result.property_seconds = cluster.metrics().simulated_seconds - before;
+    run_property_stage(store, profile, cluster, config.seed ^ 0xfacadeULL,
+                       edges);
+    result.property_seconds =
+        cluster.metrics().simulated_seconds - result.structure_seconds;
+  }
+  {
+    PhaseScope phase(trace, "store");
+    cluster.run_serial("store:finalize", [&] { store.finish(); });
   }
   result.metrics = cluster.metrics();
+  result.vertices = graph.num_vertices();
+  result.edges = edges;
   return result;
 }
 
@@ -176,21 +194,6 @@ class PgpbaGenerator final : public Generator {
         {"degree-mode", OptionKind::kFlag, "",
          "attach by degree sampling instead of Spark-parity edge copy"},
     };
-  }
-  [[nodiscard]] GenResult generate(const PropertyGraph& seed,
-                                   const SeedProfile& profile,
-                                   ClusterSim& cluster,
-                                   const GenConfig& config) const override {
-    PgpbaOptions options;
-    options.desired_edges = config.desired_edges;
-    options.fraction = config.get_double("fraction", 0.5);
-    options.partitions = config.partitions;
-    options.seed = config.seed;
-    options.with_properties = config.with_properties;
-    if (config.get_flag("degree-mode")) {
-      options.mode = PgpbaAttachMode::kDegreeSampling;
-    }
-    return pgpba_generate(seed, profile, cluster, options);
   }
   [[nodiscard]] StoreGenResult generate_into(const PropertyGraph& seed,
                                              const SeedProfile& profile,
@@ -259,7 +262,11 @@ class PgskGenerator final : public Generator {
     specs.insert(specs.end(), fit.begin(), fit.end());
     return specs;
   }
-  static PgskOptions options_from(const GenConfig& config) {
+  [[nodiscard]] StoreGenResult generate_into(const PropertyGraph& seed,
+                                             const SeedProfile& profile,
+                                             ClusterSim& cluster,
+                                             const GenConfig& config,
+                                             GraphStore& store) const override {
     PgskOptions options;
     options.desired_edges = config.desired_edges;
     options.force_k =
@@ -271,21 +278,7 @@ class PgskGenerator final : public Generator {
     options.fit = kronfit_options_from(config);
     options.dedup_budget_bytes = config.get_u64("dedup-budget-mb", 256) << 20;
     options.spill_directory = config.get("dedup-spill-dir", "");
-    return options;
-  }
-  [[nodiscard]] GenResult generate(const PropertyGraph& seed,
-                                   const SeedProfile& profile,
-                                   ClusterSim& cluster,
-                                   const GenConfig& config) const override {
-    return pgsk_generate(seed, profile, cluster, options_from(config));
-  }
-  [[nodiscard]] StoreGenResult generate_into(const PropertyGraph& seed,
-                                             const SeedProfile& profile,
-                                             ClusterSim& cluster,
-                                             const GenConfig& config,
-                                             GraphStore& store) const override {
-    return pgsk_generate_into(seed, profile, cluster, options_from(config),
-                              store);
+    return pgsk_generate_into(seed, profile, cluster, options, store);
   }
 };
 
@@ -304,7 +297,7 @@ class PgskFastGenerator final : public Generator {
         {"noise", OptionKind::kDouble, "0",
          "noisy-SKG per-level amplitude in [0, 0.5)"},
         {"dedup", OptionKind::kFlag, "",
-         "drop duplicate edges via external-sort distinct (sink path only)"},
+         "drop duplicate edges via external-sort distinct"},
         {"dedup-budget-mb", OptionKind::kU64, "256",
          "in-RAM budget for the dedup distinct before spilling runs"},
         {"dedup-spill-dir", OptionKind::kString, "",
@@ -313,22 +306,6 @@ class PgskFastGenerator final : public Generator {
     const auto fit = kronfit_option_specs();
     specs.insert(specs.end(), fit.begin(), fit.end());
     return specs;
-  }
-  [[nodiscard]] GenResult generate(const PropertyGraph& seed,
-                                   const SeedProfile& profile,
-                                   ClusterSim& cluster,
-                                   const GenConfig& config) const override {
-    PgskFastOptions options;
-    options.desired_edges = config.desired_edges;
-    options.force_k =
-        static_cast<std::uint32_t>(config.get_u64("force-k", 0));
-    options.partitions = config.partitions;
-    options.seed = config.seed;
-    options.with_properties = config.with_properties;
-    options.rescale_to_target = !config.get_flag("no-rescale");
-    options.noise = config.get_double("noise", 0.0);
-    options.fit = kronfit_options_from(config);
-    return pgsk_fast_generate(seed, profile, cluster, options);
   }
   [[nodiscard]] StoreGenResult generate_into(const PropertyGraph& seed,
                                              const SeedProfile& profile,
@@ -345,12 +322,10 @@ class PgskFastGenerator final : public Generator {
     options.rescale_to_target = !config.get_flag("no-rescale");
     options.noise = config.get_double("noise", 0.0);
     options.fit = kronfit_options_from(config);
-    FastSinkOptions sink;
-    sink.dedup = config.get_flag("dedup");
-    sink.dedup_budget_bytes = config.get_u64("dedup-budget-mb", 256) << 20;
-    sink.spill_directory = config.get("dedup-spill-dir", "");
-    return pgsk_fast_generate_into(seed, profile, cluster, options, sink,
-                                   store);
+    options.dedup = config.get_flag("dedup");
+    options.dedup_budget_bytes = config.get_u64("dedup-budget-mb", 256) << 20;
+    options.spill_directory = config.get("dedup-spill-dir", "");
+    return pgsk_fast_generate_into(seed, profile, cluster, options, store);
   }
 };
 
@@ -367,19 +342,6 @@ class PgpbaFastGenerator final : public Generator {
         {"edges-per-vertex", OptionKind::kU64, "1",
          "edges attached per grown vertex (Barabasi-Albert m)"},
     };
-  }
-  [[nodiscard]] GenResult generate(const PropertyGraph& seed,
-                                   const SeedProfile& profile,
-                                   ClusterSim& cluster,
-                                   const GenConfig& config) const override {
-    PgpbaFastOptions options;
-    options.desired_edges = config.desired_edges;
-    options.edges_per_vertex = static_cast<std::uint32_t>(
-        config.get_u64("edges-per-vertex", 1));
-    options.partitions = config.partitions;
-    options.seed = config.seed;
-    options.with_properties = config.with_properties;
-    return pgpba_fast_generate(seed, profile, cluster, options);
   }
   [[nodiscard]] StoreGenResult generate_into(const PropertyGraph& seed,
                                              const SeedProfile& profile,
@@ -418,10 +380,11 @@ class RmatGenerator final : public Generator {
          "per-level multiplicative jitter on (a,b,c,d)"},
     };
   }
-  [[nodiscard]] GenResult generate(const PropertyGraph& seed,
-                                   const SeedProfile& profile,
-                                   ClusterSim& cluster,
-                                   const GenConfig& config) const override {
+  [[nodiscard]] StoreGenResult generate_into(const PropertyGraph& seed,
+                                             const SeedProfile& profile,
+                                             ClusterSim& cluster,
+                                             const GenConfig& config,
+                                             GraphStore& store) const override {
     const std::uint64_t vertices =
         derived_vertices(seed, config.desired_edges);
     const auto scale = static_cast<std::uint32_t>(config.get_u64(
@@ -433,7 +396,7 @@ class RmatGenerator final : public Generator {
     params.d = std::max(0.0, 1.0 - params.a - params.b - params.c);
     params.noise = config.get_double("rmat-noise", params.noise);
     return run_serial_baseline(
-        cluster.trace(), cluster, profile, config, [&] {
+        cluster, profile, config, store, [&] {
           return rmat(scale, config.desired_edges, params, config.seed);
         });
   }
@@ -453,10 +416,11 @@ class ClassicBaGenerator final : public Generator {
          "edges per new vertex (default derived from the seed density)"},
     };
   }
-  [[nodiscard]] GenResult generate(const PropertyGraph& seed,
-                                   const SeedProfile& profile,
-                                   ClusterSim& cluster,
-                                   const GenConfig& config) const override {
+  [[nodiscard]] StoreGenResult generate_into(const PropertyGraph& seed,
+                                             const SeedProfile& profile,
+                                             ClusterSim& cluster,
+                                             const GenConfig& config,
+                                             GraphStore& store) const override {
     // Edges per new vertex from the seed's density; vertices sized so
     // vertices x m reaches the desired edge count.
     const double density =
@@ -470,7 +434,7 @@ class ClassicBaGenerator final : public Generator {
     const std::uint64_t vertices =
         std::max<std::uint64_t>(m + 1, config.desired_edges / m);
     return run_serial_baseline(
-        cluster.trace(), cluster, profile, config, [&] {
+        cluster, profile, config, store, [&] {
           return classic_barabasi_albert(vertices, m, config.seed);
         });
   }
@@ -490,14 +454,15 @@ class ErdosRenyiGenerator final : public Generator {
          "vertex count n of G(n, m) (default derived from the seed density)"},
     };
   }
-  [[nodiscard]] GenResult generate(const PropertyGraph& seed,
-                                   const SeedProfile& profile,
-                                   ClusterSim& cluster,
-                                   const GenConfig& config) const override {
+  [[nodiscard]] StoreGenResult generate_into(const PropertyGraph& seed,
+                                             const SeedProfile& profile,
+                                             ClusterSim& cluster,
+                                             const GenConfig& config,
+                                             GraphStore& store) const override {
     const std::uint64_t vertices = config.get_u64(
         "vertices", derived_vertices(seed, config.desired_edges));
     return run_serial_baseline(
-        cluster.trace(), cluster, profile, config, [&] {
+        cluster, profile, config, store, [&] {
           return erdos_renyi_gnm(vertices, config.desired_edges, config.seed);
         });
   }
@@ -509,14 +474,15 @@ class ChungLuGenerator final : public Generator {
   [[nodiscard]] std::string_view description() const override {
     return "Chung-Lu expected-degree baseline seeded by the seed's degrees";
   }
-  [[nodiscard]] GenResult generate(const PropertyGraph& seed,
-                                   const SeedProfile& profile,
-                                   ClusterSim& cluster,
-                                   const GenConfig& config) const override {
+  [[nodiscard]] StoreGenResult generate_into(const PropertyGraph& seed,
+                                             const SeedProfile& profile,
+                                             ClusterSim& cluster,
+                                             const GenConfig& config,
+                                             GraphStore& store) const override {
     const auto degrees = total_degrees(seed);
     std::vector<double> weights(degrees.begin(), degrees.end());
     return run_serial_baseline(
-        cluster.trace(), cluster, profile, config, [&] {
+        cluster, profile, config, store, [&] {
           return chung_lu(weights, config.desired_edges, config.seed);
         });
   }
@@ -537,10 +503,11 @@ class SbmGenerator final : public Generator {
          "relative edge propensity across communities"},
     };
   }
-  [[nodiscard]] GenResult generate(const PropertyGraph& seed,
-                                   const SeedProfile& profile,
-                                   ClusterSim& cluster,
-                                   const GenConfig& config) const override {
+  [[nodiscard]] StoreGenResult generate_into(const PropertyGraph& seed,
+                                             const SeedProfile& profile,
+                                             ClusterSim& cluster,
+                                             const GenConfig& config,
+                                             GraphStore& store) const override {
     const std::uint64_t blocks =
         std::max<std::uint64_t>(1, config.get_u64("blocks", 4));
     const double intra = config.get_double("intra", 0.8);
@@ -554,7 +521,7 @@ class SbmGenerator final : public Generator {
       mixing[b * blocks + b] = intra;
     }
     return run_serial_baseline(
-        cluster.trace(), cluster, profile, config, [&] {
+        cluster, profile, config, store, [&] {
           return stochastic_block_model(sizes, mixing, config.desired_edges,
                                         config.seed);
         });

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -82,8 +83,8 @@ void check_option_value(const OptionSpec& spec, const std::string& value);
 void validate_extra_options(const std::vector<OptionSpec>& options,
                             const GenConfig& config);
 
-/// Stats of a sink-based run (Generator::generate_into): the graph itself
-/// went to the GraphStore, so only dimensions and cost booking remain.
+/// Stats of a Generator::generate_into run: the graph itself went to the
+/// GraphStore, so only dimensions and cost booking remain.
 struct StoreGenResult {
   JobMetrics metrics;
   double structure_seconds = 0.0;
@@ -109,21 +110,28 @@ class Generator {
   /// understands, in display order.
   [[nodiscard]] virtual std::vector<OptionSpec> options() const { return {}; }
 
-  [[nodiscard]] virtual GenResult generate(const PropertyGraph& seed,
-                                           const SeedProfile& profile,
-                                           ClusterSim& cluster,
-                                           const GenConfig& config) const = 0;
-
-  /// Sink-based run: emits the graph into `store` (begin/put/finish) instead
-  /// of returning it. The base implementation runs generate() and replays
-  /// the in-RAM result chunk-by-chunk under store:replay spans; the fast
-  /// samplers override it to stream shard-sized chunks directly, keeping
-  /// resident memory bounded. For a MemoryStore the stored graph is
-  /// byte-identical to GenResult.graph.
+  /// The one generation path: emits the graph into `store` (begin, then
+  /// offset-addressed put_edges / put_properties chunks, then finish). The
+  /// stored bytes depend only on (seed graph, profile, config), never on
+  /// the store backend, its shard count or the pool size.
   [[nodiscard]] virtual StoreGenResult generate_into(
       const PropertyGraph& seed, const SeedProfile& profile,
-      ClusterSim& cluster, const GenConfig& config, GraphStore& store) const;
+      ClusterSim& cluster, const GenConfig& config,
+      GraphStore& store) const = 0;
+
+  /// In-RAM run: generate_into captured by a MemoryStore.
+  [[nodiscard]] GenResult generate(const PropertyGraph& seed,
+                                   const SeedProfile& profile,
+                                   ClusterSim& cluster,
+                                   const GenConfig& config) const;
 };
+
+/// Runs `emit` (a generate_into body) against a MemoryStore and returns
+/// the captured graph with the run's cost booking. The only in-RAM
+/// producer: Generator::generate and the per-algorithm *_generate free
+/// functions are this over their streaming pipelines.
+[[nodiscard]] GenResult generate_in_memory(
+    const std::function<StoreGenResult(GraphStore&)>& emit);
 
 /// Adds a generator to the process-wide registry; replaces an existing
 /// entry with the same name. Builtins are registered on first lookup.

@@ -5,8 +5,6 @@
 #include <functional>
 #include <vector>
 
-#include "gen/materialize.hpp"
-#include "gen/properties.hpp"
 #include "gen/sink_stages.hpp"
 #include "mr/dataset.hpp"
 #include "obs/trace.hpp"
@@ -16,9 +14,8 @@ namespace csb {
 
 namespace {
 
-/// Output of the shared growth loop (Fig. 2 lines 1-13): the grown edge
-/// partitions plus the dimensions the two back ends (in-RAM materialize,
-/// GraphStore emit) need.
+/// Output of the growth loop (Fig. 2 lines 1-13): the grown edge
+/// partitions plus the dimensions the store emission needs.
 struct PgpbaGrowth {
   Dataset<Edge> edges;
   std::uint64_t num_vertices = 0;
@@ -26,10 +23,8 @@ struct PgpbaGrowth {
   std::uint64_t iterations = 0;
 };
 
-/// The PGPBA growth loop, booked under the "grow" phase. Both pgpba_generate
-/// and pgpba_generate_into run exactly this, so the partition-concatenation
-/// edge order — and with it the output bytes — cannot drift between the
-/// in-RAM and the streamed back end.
+/// The PGPBA growth loop, booked under the "grow" phase. The output edge
+/// order is the concatenation of the final partitions.
 PgpbaGrowth pgpba_grow(const PropertyGraph& seed_graph,
                        const SeedProfile& profile, ClusterSim& cluster,
                        const PgpbaOptions& options) {
@@ -151,32 +146,9 @@ PgpbaGrowth pgpba_grow(const PropertyGraph& seed_graph,
 GenResult pgpba_generate(const PropertyGraph& seed_graph,
                          const SeedProfile& profile, ClusterSim& cluster,
                          const PgpbaOptions& options) {
-  cluster.reset_metrics();
-  TraceRecorder* const trace = cluster.trace();
-  const PgpbaGrowth growth =
-      pgpba_grow(seed_graph, profile, cluster, options);
-
-  GenResult result;
-  result.iterations = growth.iterations;
-
-  // Distributed graph materialization (GraphX Graph construction).
-  {
-    PhaseScope phase(trace, "materialize");
-    result.graph = materialize_graph(growth.edges, growth.num_vertices,
-                                     options.with_properties, cluster);
-  }
-  result.structure_seconds = cluster.metrics().simulated_seconds;
-
-  if (options.with_properties) {
-    const double before = cluster.metrics().simulated_seconds;
-    PhaseScope phase(trace, "properties");
-    assign_properties(result.graph, profile, cluster,
-                      options.seed ^ 0xfacadeULL);
-    result.property_seconds =
-        cluster.metrics().simulated_seconds - before;
-  }
-  result.metrics = cluster.metrics();
-  return result;
+  return generate_in_memory([&](GraphStore& store) {
+    return pgpba_generate_into(seed_graph, profile, cluster, options, store);
+  });
 }
 
 StoreGenResult pgpba_generate_into(const PropertyGraph& seed_graph,
@@ -193,8 +165,7 @@ StoreGenResult pgpba_generate_into(const PropertyGraph& seed_graph,
   result.iterations = growth.iterations;
 
   // Stream the grown partitions at their concatenation offsets instead of
-  // assembling a second full-graph copy — the classic materialize pass is
-  // replaced by offset-addressed chunk writes.
+  // assembling a second full-graph copy.
   {
     PhaseScope phase(trace, "store");
     cluster.run_serial("store:begin", [&] {

@@ -42,19 +42,19 @@ struct PgpbaOptions {
   bool with_properties = true;
 };
 
-GenResult pgpba_generate(const PropertyGraph& seed_graph,
-                         const SeedProfile& profile, ClusterSim& cluster,
-                         const PgpbaOptions& options);
-
-/// Sink-based PGPBA: the same growth loop, but materialize/properties
-/// stream into `store` as fixed chunks (store:emit / store:props) instead
-/// of allocating a second full-graph copy — the growth state (edge
-/// partitions) is the only O(|E|) resident structure. For a MemoryStore the
-/// stored graph is byte-identical to pgpba_generate's.
+/// PGPBA streamed into `store`: the growth loop, then the grown partitions
+/// emitted at their concatenation offsets (store:emit) and properties
+/// sampled per fixed chunk (store:props). The growth state (edge
+/// partitions) is the only O(|E|) resident structure.
 StoreGenResult pgpba_generate_into(const PropertyGraph& seed_graph,
                                    const SeedProfile& profile,
                                    ClusterSim& cluster,
                                    const PgpbaOptions& options,
                                    GraphStore& store);
+
+/// pgpba_generate_into captured by a MemoryStore.
+GenResult pgpba_generate(const PropertyGraph& seed_graph,
+                         const SeedProfile& profile, ClusterSim& cluster,
+                         const PgpbaOptions& options);
 
 }  // namespace csb

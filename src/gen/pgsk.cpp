@@ -126,31 +126,11 @@ PgskInitiatorPlan pgsk_fit_and_plan(const PropertyGraph& simple,
   return result;
 }
 
-Dataset<Edge> pgsk_re_multiply(const Dataset<Edge>& kron_edges,
-                               const SeedProfile& profile, std::uint64_t seed,
-                               TraceRecorder* trace) {
-  // Lines 8-12: duplicate each edge by a draw from the out-degree
-  // distribution (restores multigraph flow multiplicity). Sink-based so no
-  // per-edge vector<Edge> is allocated just to be spliced and freed.
-  const std::uint64_t dup_seed = seed ^ 0xd0b1e5ULL;
-  PhaseScope phase(trace, "re-multiply");
-  return kron_edges.flat_map_into<Edge>(
-      [&profile, dup_seed](const Edge& e, const auto& emit) {
-        // Rng per element derived from the edge identity: deterministic and
-        // thread-safe regardless of partition scheduling.
-        Rng rng(dup_seed ^ edge_key(e));
-        auto copies =
-            static_cast<std::uint64_t>(profile.out_degree().sample(rng));
-        copies = std::max<std::uint64_t>(1, copies);
-        for (std::uint64_t c = 0; c < copies; ++c) emit(e);
-      });
-}
-
 namespace {
 
 /// Domain separator for the exact recursive-descent placement streams (so
 /// they never collide with the re-multiply / property streams of the same
-/// user seed), and the round separator matching the classic retry constant.
+/// user seed), and the per-round separator of the adaptive retries.
 constexpr std::uint64_t kDescentSalt = 0xde5c'e9d0'0000'0001ULL;
 constexpr std::uint64_t kRoundSalt = 0x51ed2701ULL;
 /// Oversample factor and retry cap of the adaptive distinct rounds — the
@@ -230,9 +210,9 @@ StoreGenResult pgsk_generate_into(const PropertyGraph& seed_graph,
   // Line 7: recursive-descent expansion with distinct() — streamed. Each
   // round's placements regenerate from per-chunk counter streams, dedup
   // through the budgeted external-sort distinct, and the ascending sorted-
-  // unique key order is the canonical edge order (the classic path wraps
-  // this function over a MemoryStore, so there is no second ordering to
-  // drift from).
+  // unique key order is the canonical edge order (pgsk_generate wraps this
+  // function over a MemoryStore, so there is no second ordering to drift
+  // from).
   CSB_CHECK_MSG(fitted.plan.k <= 32,
                 "streamed exact PGSK packs endpoints into 64-bit keys "
                 "(k <= 32)");
@@ -388,19 +368,9 @@ StoreGenResult pgsk_generate_into(const PropertyGraph& seed_graph,
 GenResult pgsk_generate(const PropertyGraph& seed_graph,
                         const SeedProfile& profile, ClusterSim& cluster,
                         const PgskOptions& options) {
-  // The in-RAM result is the streamed pipeline captured by a MemoryStore —
-  // one source of truth, so the sink path's byte-identity oracle is this
-  // function itself.
-  MemoryStore store;
-  const StoreGenResult streamed =
-      pgsk_generate_into(seed_graph, profile, cluster, options, store);
-  GenResult result;
-  result.graph = store.take_graph();
-  result.metrics = streamed.metrics;
-  result.structure_seconds = streamed.structure_seconds;
-  result.property_seconds = streamed.property_seconds;
-  result.iterations = streamed.iterations;
-  return result;
+  return generate_in_memory([&](GraphStore& store) {
+    return pgsk_generate_into(seed_graph, profile, cluster, options, store);
+  });
 }
 
 }  // namespace csb

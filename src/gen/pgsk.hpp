@@ -17,8 +17,6 @@
 
 #include "gen/generator.hpp"
 #include "gen/kronfit.hpp"
-#include "mr/dataset.hpp"
-#include "obs/trace.hpp"
 #include "seed/seed.hpp"
 
 namespace csb {
@@ -44,23 +42,22 @@ struct PgskOptions {
   std::string spill_directory;
 };
 
-GenResult pgsk_generate(const PropertyGraph& seed_graph,
-                        const SeedProfile& profile, ClusterSim& cluster,
-                        const PgskOptions& options);
-
-/// Sink-based exact PGSK: the expand / distinct / re-multiply phases stream
-/// straight into `store` with bounded resident memory — placements dedup
-/// through ExternalDistinct under options.dedup_budget_bytes, then the
-/// sorted-unique key stream is re-multiplied and emitted count→prefix→emit
-/// on counter-mode chunk streams. Peak RSS is O(V + dedup budget) instead
-/// of O(E); the stored bytes are invariant to pool size, shard count, and
-/// spill count, and pgsk_generate (MemoryStore oracle) is this function's
-/// only in-RAM wrapper.
+/// Exact PGSK streamed into `store` with bounded resident memory: the
+/// expand / distinct / re-multiply phases place through ExternalDistinct
+/// under options.dedup_budget_bytes, then the sorted-unique key stream is
+/// re-multiplied and emitted count→prefix→emit on counter-mode chunk
+/// streams. Peak RSS is O(V + dedup budget) instead of O(E); the stored
+/// bytes are invariant to pool size, shard count, and spill count.
 StoreGenResult pgsk_generate_into(const PropertyGraph& seed_graph,
                                   const SeedProfile& profile,
                                   ClusterSim& cluster,
                                   const PgskOptions& options,
                                   GraphStore& store);
+
+/// pgsk_generate_into captured by a MemoryStore.
+GenResult pgsk_generate(const PropertyGraph& seed_graph,
+                        const SeedProfile& profile, ClusterSim& cluster,
+                        const PgskOptions& options);
 
 /// Step 3-4 sizing rule exposed for tests: the order k and pre-duplication
 /// edge target chosen for a desired size, given the duplication factor
@@ -83,7 +80,7 @@ PgskPlan plan_pgsk(double initiator_sum, double mean_out_degree,
 PropertyGraph pgsk_collapse(const PropertyGraph& seed_graph,
                             ClusterSim& cluster, std::size_t partitions);
 
-/// Sizing inputs shared by pgsk_generate and pgsk_fast_generate.
+/// Sizing inputs shared by the exact and the fast PGSK pipelines.
 struct PgskSizing {
   std::uint64_t desired_edges = 0;
   std::uint32_t force_k = 0;       ///< 0 = auto from desired_edges
@@ -103,12 +100,5 @@ PgskInitiatorPlan pgsk_fit_and_plan(const PropertyGraph& simple,
                                     ClusterSim& cluster,
                                     const KronFitOptions& fit,
                                     const PgskSizing& sizing);
-
-/// Lines 8-12: duplicate every placed edge by a per-edge draw from the seed
-/// out-degree distribution (books the "re-multiply" phase). Deterministic:
-/// the per-edge Rng is derived from the edge identity, not the partition.
-Dataset<Edge> pgsk_re_multiply(const Dataset<Edge>& kron_edges,
-                               const SeedProfile& profile, std::uint64_t seed,
-                               TraceRecorder* trace);
 
 }  // namespace csb

@@ -1,11 +1,6 @@
 #include "gen/properties.hpp"
 
-#include <algorithm>
-#include <functional>
-#include <vector>
-
 #include "gen/fast_samplers.hpp"
-#include "obs/metrics.hpp"
 
 namespace csb {
 
@@ -33,35 +28,6 @@ void sample_property_chunk(const SeedProfile& profile, std::uint64_t seed,
   for (std::size_t e = chunk.begin; e < chunk.end; ++e) {
     rows.push_back(profile.sample_properties(rng));
   }
-}
-
-StageMetrics assign_properties(PropertyGraph& graph,
-                               const SeedProfile& profile, ClusterSim& cluster,
-                               std::uint64_t seed) {
-  // Every row is overwritten below, so skip the default fill.
-  graph.ensure_properties_for_overwrite();
-  const std::uint64_t m = graph.num_edges();
-  if (m == 0) return StageMetrics{.name = "properties"};
-
-  const std::size_t partitions =
-      std::max<std::size_t>(1, cluster.config().total_cores() * 2);
-  const auto chunks = make_fixed_chunks(
-      0, static_cast<std::size_t>(m), property_chunk_size(m, partitions));
-
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(chunks.size());
-  for (const ChunkRange& chunk : chunks) {
-    tasks.push_back([&graph, &profile, seed, chunk] {
-      Rng rng = property_chunk_rng(seed, chunk.chunk_index);
-      for (std::size_t e = chunk.begin; e < chunk.end; ++e) {
-        graph.set_edge_properties(e, profile.sample_properties(rng));
-      }
-    });
-  }
-  static Counter& sampled =
-      MetricsRegistry::instance().counter("gen.properties_sampled");
-  sampled.add(m);
-  return cluster.run_stage("properties", std::move(tasks));
 }
 
 }  // namespace csb

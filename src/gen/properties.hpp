@@ -4,13 +4,11 @@
 //
 // The paper measures this stage's overhead at ~50% of PGPBA's generation
 // time and ~30% of PGSK's (Fig. 10); the benches therefore time it
-// separately via the returned stage metrics.
+// separately via the "properties" phase.
 #pragma once
 
 #include <cstdint>
 
-#include "graph/property_graph.hpp"
-#include "mr/cluster.hpp"
 #include "seed/seed.hpp"
 #include "store/graph_store.hpp"
 #include "util/parallel.hpp"
@@ -30,15 +28,9 @@ std::size_t property_chunk_size(std::uint64_t edges, std::size_t partitions);
 Rng property_chunk_rng(std::uint64_t seed, std::uint64_t chunk_index);
 
 /// Samples property rows for the edges in `chunk` into `rows` (cleared
-/// first). Pure function of (profile, seed, chunk) — the one sampler both
-/// the in-RAM assign_properties and the streaming store:props stage use.
+/// first). Pure function of (profile, seed, chunk) — the sampler behind the
+/// store:props stage (run_property_stage, gen/sink_stages.hpp).
 void sample_property_chunk(const SeedProfile& profile, std::uint64_t seed,
                            const ChunkRange& chunk, PropertyRowsBuffer& rows);
-
-/// Fills (or overwrites) all property columns of `graph` by sampling the
-/// profile, parallelized over fixed chunks on the cluster. Deterministic
-/// for a fixed (seed, partition count).
-StageMetrics assign_properties(PropertyGraph& graph, const SeedProfile& profile,
-                               ClusterSim& cluster, std::uint64_t seed);
 
 }  // namespace csb

@@ -5,15 +5,16 @@
 #include <vector>
 
 #include "gen/properties.hpp"
+#include "obs/metrics.hpp"
 #include "util/random.hpp"
 
 namespace csb {
 
 namespace {
 
-/// Edges per emit task when streaming a Dataset partition — matches the
-/// replay chunking so sink backends see the same write granularity.
-constexpr std::size_t kDatasetEmitChunk = 64 * 1024;
+/// Edges per emit task — matches replay_graph_into's chunking so sink
+/// backends see the same write granularity.
+constexpr std::size_t kEmitChunk = 64 * 1024;
 
 }  // namespace
 
@@ -54,6 +55,9 @@ void run_property_stage(GraphStore& store, const SeedProfile& profile,
       store.put_properties(chunk.begin, rows.view());
     });
   }
+  static Counter& sampled =
+      MetricsRegistry::instance().counter("gen.properties_sampled");
+  sampled.add(total_edges);
   cluster.run_stage("store:props", std::move(tasks));
 }
 
@@ -68,7 +72,7 @@ void emit_dataset_into(const Dataset<Edge>& edges, GraphStore& store,
   std::vector<std::function<void()>> tasks;
   for (std::size_t p = 0; p < edges.num_partitions(); ++p) {
     const std::vector<Edge>& part = edges.partition(p);
-    const auto chunks = make_fixed_chunks(0, part.size(), kDatasetEmitChunk);
+    const auto chunks = make_fixed_chunks(0, part.size(), kEmitChunk);
     for (const ChunkRange& chunk : chunks) {
       tasks.push_back([&store, &part, base = offsets[p], chunk] {
         emit_edge_chunk(
@@ -77,6 +81,20 @@ void emit_dataset_into(const Dataset<Edge>& edges, GraphStore& store,
                                                 chunk.end - chunk.begin));
       });
     }
+  }
+  cluster.run_stage("store:emit", std::move(tasks));
+}
+
+void emit_columns_into(std::span<const VertexId> src,
+                       std::span<const VertexId> dst, GraphStore& store,
+                       ClusterSim& cluster) {
+  std::vector<std::function<void()>> tasks;
+  for (const ChunkRange& chunk : make_fixed_chunks(0, src.size(), kEmitChunk)) {
+    tasks.push_back([&store, src, dst, chunk] {
+      const std::size_t count = chunk.end - chunk.begin;
+      store.put_edges(chunk.begin, src.subspan(chunk.begin, count),
+                      dst.subspan(chunk.begin, count));
+    });
   }
   cluster.run_stage("store:emit", std::move(tasks));
 }

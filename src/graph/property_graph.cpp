@@ -1,8 +1,23 @@
 #include "graph/property_graph.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace csb {
+
+void PropertyColumns::resize_for_overwrite(std::size_t rows) {
+  // resize() default-initializes under the column allocator, so no column
+  // content is written here.
+  protocol.resize(rows);
+  src_port.resize(rows);
+  dst_port.resize(rows);
+  duration_ms.resize(rows);
+  out_bytes.resize(rows);
+  in_bytes.resize(rows);
+  out_pkts.resize(rows);
+  in_pkts.resize(rows);
+  state.resize(rows);
+}
 
 PropertyGraph PropertyGraph::from_columns(std::uint64_t vertices,
                                           std::vector<VertexId> src,
@@ -49,15 +64,15 @@ EdgeId PropertyGraph::add_edge(VertexId src, VertexId dst,
                 "call ensure_properties() first");
   src_.push_back(src);
   dst_.push_back(dst);
-  protocol_.push_back(props.protocol);
-  src_port_.push_back(props.src_port);
-  dst_port_.push_back(props.dst_port);
-  duration_ms_.push_back(props.duration_ms);
-  out_bytes_.push_back(props.out_bytes);
-  in_bytes_.push_back(props.in_bytes);
-  out_pkts_.push_back(props.out_pkts);
-  in_pkts_.push_back(props.in_pkts);
-  state_.push_back(props.state);
+  props_.protocol.push_back(props.protocol);
+  props_.src_port.push_back(props.src_port);
+  props_.dst_port.push_back(props.dst_port);
+  props_.duration_ms.push_back(props.duration_ms);
+  props_.out_bytes.push_back(props.out_bytes);
+  props_.in_bytes.push_back(props.in_bytes);
+  props_.out_pkts.push_back(props.out_pkts);
+  props_.in_pkts.push_back(props.in_pkts);
+  props_.state.push_back(props.state);
   return src_.size() - 1;
 }
 
@@ -65,15 +80,15 @@ void PropertyGraph::reserve_edges(std::uint64_t capacity) {
   src_.reserve(capacity);
   dst_.reserve(capacity);
   if (has_properties()) {
-    protocol_.reserve(capacity);
-    src_port_.reserve(capacity);
-    dst_port_.reserve(capacity);
-    duration_ms_.reserve(capacity);
-    out_bytes_.reserve(capacity);
-    in_bytes_.reserve(capacity);
-    out_pkts_.reserve(capacity);
-    in_pkts_.reserve(capacity);
-    state_.reserve(capacity);
+    props_.protocol.reserve(capacity);
+    props_.src_port.reserve(capacity);
+    props_.dst_port.reserve(capacity);
+    props_.duration_ms.reserve(capacity);
+    props_.out_bytes.reserve(capacity);
+    props_.in_bytes.reserve(capacity);
+    props_.out_pkts.reserve(capacity);
+    props_.in_pkts.reserve(capacity);
+    props_.state.reserve(capacity);
   }
 }
 
@@ -81,82 +96,65 @@ EdgeProperties PropertyGraph::edge_properties(EdgeId e) const {
   CSB_CHECK_MSG(has_properties(), "graph has no property columns");
   check(e);
   return EdgeProperties{
-      .protocol = protocol_[e],
-      .src_port = src_port_[e],
-      .dst_port = dst_port_[e],
-      .duration_ms = duration_ms_[e],
-      .out_bytes = out_bytes_[e],
-      .in_bytes = in_bytes_[e],
-      .out_pkts = out_pkts_[e],
-      .in_pkts = in_pkts_[e],
-      .state = state_[e],
+      .protocol = props_.protocol[e],
+      .src_port = props_.src_port[e],
+      .dst_port = props_.dst_port[e],
+      .duration_ms = props_.duration_ms[e],
+      .out_bytes = props_.out_bytes[e],
+      .in_bytes = props_.in_bytes[e],
+      .out_pkts = props_.out_pkts[e],
+      .in_pkts = props_.in_pkts[e],
+      .state = props_.state[e],
   };
 }
 
 void PropertyGraph::set_edge_properties(EdgeId e, const EdgeProperties& props) {
   CSB_CHECK_MSG(has_properties(), "graph has no property columns");
   check(e);
-  protocol_[e] = props.protocol;
-  src_port_[e] = props.src_port;
-  dst_port_[e] = props.dst_port;
-  duration_ms_[e] = props.duration_ms;
-  out_bytes_[e] = props.out_bytes;
-  in_bytes_[e] = props.in_bytes;
-  out_pkts_[e] = props.out_pkts;
-  in_pkts_[e] = props.in_pkts;
-  state_[e] = props.state;
+  props_.protocol[e] = props.protocol;
+  props_.src_port[e] = props.src_port;
+  props_.dst_port[e] = props.dst_port;
+  props_.duration_ms[e] = props.duration_ms;
+  props_.out_bytes[e] = props.out_bytes;
+  props_.in_bytes[e] = props.in_bytes;
+  props_.out_pkts[e] = props.out_pkts;
+  props_.in_pkts[e] = props.in_pkts;
+  props_.state[e] = props.state;
 }
 
 void PropertyGraph::ensure_properties() {
-  if (has_properties() && protocol_.size() == src_.size()) return;
+  if (has_properties() && props_.protocol.size() == src_.size()) return;
   const std::size_t n = src_.size();
-  protocol_.assign(n, Protocol::kTcp);
-  src_port_.assign(n, 0);
-  dst_port_.assign(n, 0);
-  duration_ms_.assign(n, 0);
-  out_bytes_.assign(n, 0);
-  in_bytes_.assign(n, 0);
-  out_pkts_.assign(n, 0);
-  in_pkts_.assign(n, 0);
-  state_.assign(n, ConnState::kNone);
+  props_.protocol.assign(n, Protocol::kTcp);
+  props_.src_port.assign(n, 0);
+  props_.dst_port.assign(n, 0);
+  props_.duration_ms.assign(n, 0);
+  props_.out_bytes.assign(n, 0);
+  props_.in_bytes.assign(n, 0);
+  props_.out_pkts.assign(n, 0);
+  props_.in_pkts.assign(n, 0);
+  props_.state.assign(n, ConnState::kNone);
 }
 
 void PropertyGraph::ensure_properties_for_overwrite() {
-  if (has_properties() && protocol_.size() == src_.size()) return;
-  const std::size_t n = src_.size();
-  // resize() default-initializes under the column allocator, so no column
-  // content is written here.
-  protocol_.resize(n);
-  src_port_.resize(n);
-  dst_port_.resize(n);
-  duration_ms_.resize(n);
-  out_bytes_.resize(n);
-  in_bytes_.resize(n);
-  out_pkts_.resize(n);
-  in_pkts_.resize(n);
-  state_.resize(n);
+  if (has_properties() && props_.protocol.size() == src_.size()) return;
+  props_.resize_for_overwrite(src_.size());
 }
 
-void PropertyGraph::drop_properties() noexcept {
-  protocol_.clear();
-  protocol_.shrink_to_fit();
-  src_port_.clear();
-  src_port_.shrink_to_fit();
-  dst_port_.clear();
-  dst_port_.shrink_to_fit();
-  duration_ms_.clear();
-  duration_ms_.shrink_to_fit();
-  out_bytes_.clear();
-  out_bytes_.shrink_to_fit();
-  in_bytes_.clear();
-  in_bytes_.shrink_to_fit();
-  out_pkts_.clear();
-  out_pkts_.shrink_to_fit();
-  in_pkts_.clear();
-  in_pkts_.shrink_to_fit();
-  state_.clear();
-  state_.shrink_to_fit();
+void PropertyGraph::attach_properties(PropertyColumns columns) {
+  const std::size_t n = src_.size();
+  CSB_CHECK_MSG(columns.protocol.size() == n && columns.src_port.size() == n &&
+                    columns.dst_port.size() == n &&
+                    columns.duration_ms.size() == n &&
+                    columns.out_bytes.size() == n &&
+                    columns.in_bytes.size() == n &&
+                    columns.out_pkts.size() == n &&
+                    columns.in_pkts.size() == n && columns.state.size() == n,
+                "property columns must have one row per edge");
+  props_ = std::move(columns);
 }
+
+void PropertyGraph::drop_properties() noexcept { props_ = PropertyColumns{}; }
 
 std::uint64_t PropertyGraph::bytes_per_edge(bool with_properties) noexcept {
   std::uint64_t bytes = 2 * sizeof(VertexId);

@@ -26,6 +26,32 @@ namespace csb {
 using VertexId = std::uint64_t;
 using EdgeId = std::uint64_t;
 
+/// One NetFlow property column. The default-init allocator makes resize()
+/// leave rows uninitialized, so a producer that overwrites every row (the
+/// generators' property stage) pays no full-column write.
+template <typename T>
+using PropertyColumn = std::vector<T, DefaultInitAllocator<T>>;
+
+/// The nine NetFlow property columns of a graph (all the same length).
+struct PropertyColumns {
+  PropertyColumn<Protocol> protocol;
+  PropertyColumn<std::uint16_t> src_port;
+  PropertyColumn<std::uint16_t> dst_port;
+  PropertyColumn<std::uint32_t> duration_ms;
+  PropertyColumn<std::uint64_t> out_bytes;
+  PropertyColumn<std::uint64_t> in_bytes;
+  PropertyColumn<std::uint32_t> out_pkts;
+  PropertyColumn<std::uint32_t> in_pkts;
+  PropertyColumn<ConnState> state;
+
+  /// Sizes every column to `rows`; rows past the old size are
+  /// indeterminate until overwritten.
+  void resize_for_overwrite(std::size_t rows);
+
+  friend bool operator==(const PropertyColumns&,
+                         const PropertyColumns&) = default;
+};
+
 class PropertyGraph {
  public:
   PropertyGraph() = default;
@@ -93,7 +119,7 @@ class PropertyGraph {
   // --- properties ---
 
   [[nodiscard]] bool has_properties() const noexcept {
-    return !protocol_.empty();
+    return !props_.protocol.empty();
   }
 
   /// Gathers one edge's property row. Requires has_properties().
@@ -109,8 +135,12 @@ class PropertyGraph {
   /// Attaches property columns WITHOUT initializing their contents (O(1)
   /// per element instead of a full-column write): every row is
   /// indeterminate until overwritten. Only for callers that immediately
-  /// fill all rows — the generators' assign_properties stage does.
+  /// fill all rows.
   void ensure_properties_for_overwrite();
+
+  /// Takes over filled property columns by move (O(1)); every column must
+  /// have num_edges() rows.
+  void attach_properties(PropertyColumns columns);
 
   /// Drops all property columns, leaving the bare structure (used by PGSK's
   /// multiset -> set collapse, paper Fig. 3 lines 1-5).
@@ -118,31 +148,31 @@ class PropertyGraph {
 
   // Column access for analysis passes (valid only with has_properties()).
   [[nodiscard]] std::span<const Protocol> protocols() const noexcept {
-    return protocol_;
+    return props_.protocol;
   }
   [[nodiscard]] std::span<const std::uint16_t> src_ports() const noexcept {
-    return src_port_;
+    return props_.src_port;
   }
   [[nodiscard]] std::span<const std::uint16_t> dst_ports() const noexcept {
-    return dst_port_;
+    return props_.dst_port;
   }
   [[nodiscard]] std::span<const std::uint32_t> durations_ms() const noexcept {
-    return duration_ms_;
+    return props_.duration_ms;
   }
   [[nodiscard]] std::span<const std::uint64_t> out_bytes() const noexcept {
-    return out_bytes_;
+    return props_.out_bytes;
   }
   [[nodiscard]] std::span<const std::uint64_t> in_bytes() const noexcept {
-    return in_bytes_;
+    return props_.in_bytes;
   }
   [[nodiscard]] std::span<const std::uint32_t> out_pkts() const noexcept {
-    return out_pkts_;
+    return props_.out_pkts;
   }
   [[nodiscard]] std::span<const std::uint32_t> in_pkts() const noexcept {
-    return in_pkts_;
+    return props_.in_pkts;
   }
   [[nodiscard]] std::span<const ConnState> states() const noexcept {
-    return state_;
+    return props_.state;
   }
 
   /// Approximate heap footprint of the graph in bytes (used by the memory
@@ -160,25 +190,11 @@ class PropertyGraph {
     return e;
   }
 
-  // Property columns use a default-init allocator so the bulk attach in
-  // ensure_properties_for_overwrite costs no full-column write.
-  template <typename T>
-  using PropColumn = std::vector<T, DefaultInitAllocator<T>>;
-
   std::uint64_t num_vertices_ = 0;
   std::vector<VertexId> src_;
   std::vector<VertexId> dst_;
-
   // NetFlow property columns (all empty, or all sized like src_).
-  PropColumn<Protocol> protocol_;
-  PropColumn<std::uint16_t> src_port_;
-  PropColumn<std::uint16_t> dst_port_;
-  PropColumn<std::uint32_t> duration_ms_;
-  PropColumn<std::uint64_t> out_bytes_;
-  PropColumn<std::uint64_t> in_bytes_;
-  PropColumn<std::uint32_t> out_pkts_;
-  PropColumn<std::uint32_t> in_pkts_;
-  PropColumn<ConnState> state_;
+  PropertyColumns props_;
 };
 
 }  // namespace csb

@@ -381,12 +381,11 @@ void run_atomic_float_reduce(const SourceFile& file, const Sink& emit) {
 const std::set<std::string, std::less<>>& families() {
   // Mirrors the stage-name table in docs/observability.md — keep in sync.
   static const std::set<std::string, std::less<>> set = {
-      "allocate-vertices", "attach",      "ball-drop", "coalesce",
-      "collapse",          "distinct",    "expand",    "filter",
-      "flat_map",          "generate",    "grow",      "kronfit",
-      "map",               "materialize", "properties", "reduce",
-      "re-multiply",       "sample",      "seed",      "skip-ahead",
-      "store",
+      "allocate-vertices", "attach",     "ball-drop", "coalesce",
+      "collapse",          "distinct",   "expand",    "filter",
+      "flat_map",          "generate",   "grow",      "kronfit",
+      "map",               "properties", "reduce",    "re-multiply",
+      "sample",            "seed",       "skip-ahead", "store",
   };
   return set;
 }
@@ -397,8 +396,8 @@ const std::set<std::string, std::less<>>& store_subfamilies() {
   // with a documented second level: its spans name on-disk pipeline
   // stages (csr build, range merge, verification) that tooling groups by.
   static const std::set<std::string, std::less<>> set = {
-      "begin", "count", "csr",   "distinct", "emit",
-      "merge", "props", "replay", "finalize", "verify",
+      "begin", "count", "csr",      "distinct", "emit",
+      "merge", "props", "finalize", "verify",
   };
   return set;
 }

@@ -47,9 +47,9 @@ PropertyRowsView PropertyRowsBuffer::view() const noexcept {
 
 namespace {
 
-template <typename T>
-void copy_at(std::vector<T>& column, std::uint64_t first,
-             std::span<const T> values) {
+template <typename Column>
+void copy_at(Column& column, std::uint64_t first,
+             std::span<const typename Column::value_type> values) {
   std::copy(values.begin(), values.end(), column.begin() + first);
 }
 
@@ -61,17 +61,7 @@ void MemoryStore::begin(const StoreHeader& header) {
   header_ = header;
   src_.resize(header.edges);
   dst_.resize(header.edges);
-  if (header.with_properties) {
-    props_.protocol.resize(header.edges);
-    props_.src_port.resize(header.edges);
-    props_.dst_port.resize(header.edges);
-    props_.duration_ms.resize(header.edges);
-    props_.out_bytes.resize(header.edges);
-    props_.in_bytes.resize(header.edges);
-    props_.out_pkts.resize(header.edges);
-    props_.in_pkts.resize(header.edges);
-    props_.state.resize(header.edges);
-  }
+  if (header.with_properties) props_.resize_for_overwrite(header.edges);
 }
 
 void MemoryStore::put_edges(std::uint64_t first_edge,
@@ -81,6 +71,14 @@ void MemoryStore::put_edges(std::uint64_t first_edge,
   CSB_CHECK_MSG(src.size() == dst.size(), "endpoint spans must align");
   CSB_CHECK_MSG(first_edge + src.size() <= header_.edges,
                 "edge chunk exceeds the announced edge count");
+  // Validated per chunk, on the worker that writes it, so finish() needs
+  // no serial pass over the edges.
+  VertexId max_endpoint = 0;
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    max_endpoint = std::max({max_endpoint, src[i], dst[i]});
+  }
+  CSB_CHECK_MSG(src.empty() || max_endpoint < header_.vertices,
+                "edge endpoints must be existing vertices");
   copy_at(src_, first_edge, src);
   copy_at(dst_, first_edge, dst);
 }
@@ -106,30 +104,11 @@ void MemoryStore::put_properties(std::uint64_t first_edge,
 void MemoryStore::finish() {
   CSB_CHECK_MSG(begun_ && !finished_, "finish outside begin / called twice");
   finished_ = true;
-  for (std::uint64_t e = 0; e < header_.edges; ++e) {
-    CSB_CHECK_MSG(src_[e] < header_.vertices && dst_[e] < header_.vertices,
-                  "edge endpoints must be existing vertices");
-  }
+  // Endpoints were checked chunk by chunk in put_edges; the columns hand
+  // over by move.
   graph_ = PropertyGraph::from_columns_unchecked(
       header_.vertices, std::move(src_), std::move(dst_));
-  if (header_.with_properties) {
-    graph_.ensure_properties_for_overwrite();
-    for (std::uint64_t e = 0; e < header_.edges; ++e) {
-      graph_.set_edge_properties(
-          e, EdgeProperties{
-                 .protocol = props_.protocol[e],
-                 .src_port = props_.src_port[e],
-                 .dst_port = props_.dst_port[e],
-                 .duration_ms = props_.duration_ms[e],
-                 .out_bytes = props_.out_bytes[e],
-                 .in_bytes = props_.in_bytes[e],
-                 .out_pkts = props_.out_pkts[e],
-                 .in_pkts = props_.in_pkts[e],
-                 .state = props_.state[e],
-             });
-    }
-    props_ = PropertyRowsBuffer{};
-  }
+  if (header_.with_properties) graph_.attach_properties(std::move(props_));
 }
 
 const PropertyGraph& MemoryStore::graph() const {

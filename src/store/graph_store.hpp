@@ -10,8 +10,8 @@
 // position is a pure function of the chunk geometry — never of scheduling.
 //
 // Two backends:
-//   * MemoryStore — in-RAM columns; finish() yields a PropertyGraph
-//     byte-identical to the classic GenResult.graph path.
+//   * MemoryStore — in-RAM columns; finish() yields the PropertyGraph that
+//     Generator::generate returns.
 //   * ShardStore  — sharded on-disk binary + mmap-able CSR index
 //     (store/shard_store.hpp), bounded resident memory.
 #pragma once
@@ -99,9 +99,10 @@ class GraphStore {
   virtual void finish() = 0;
 };
 
-/// In-memory backend: the columns land exactly where the classic
-/// materialize + assign_properties path would put them, so graph() after
-/// finish() equals GenResult.graph byte for byte.
+/// In-memory backend and the only in-RAM producer: Generator::generate is
+/// generate_into captured here. put_edges validates each chunk's endpoints
+/// on the worker that writes it, and finish() hands the columns to the
+/// graph by move, so no serial O(|E|) pass runs outside the chunk writers.
 class MemoryStore final : public GraphStore {
  public:
   [[nodiscard]] std::string_view name() const override { return "memory"; }
@@ -123,13 +124,13 @@ class MemoryStore final : public GraphStore {
   bool finished_ = false;
   std::vector<VertexId> src_;
   std::vector<VertexId> dst_;
-  PropertyRowsBuffer props_;
+  PropertyColumns props_;
   PropertyGraph graph_;
 };
 
-/// Chunked replay of an in-RAM graph through any store: begin / 64K-edge
-/// put_edges+put_properties chunks / finish. The fallback save path for
-/// classic generators and the `shards` GraphFormat.
+/// Chunked replay of an existing in-RAM graph through any store: begin /
+/// 64K-edge put_edges+put_properties chunks / finish. The save path of the
+/// `shards` GraphFormat; generators never go through it.
 void replay_graph_into(const PropertyGraph& graph, GraphStore& store,
                        std::uint64_t seed);
 

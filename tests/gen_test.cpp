@@ -12,13 +12,14 @@
 #include "gen/fast_samplers.hpp"
 #include "gen/kronecker.hpp"
 #include "gen/kronfit.hpp"
-#include "gen/materialize.hpp"
 #include "mr/dataset.hpp"
 #include "gen/pgpba.hpp"
 #include "gen/pgsk.hpp"
 #include "gen/properties.hpp"
+#include "gen/sink_stages.hpp"
 #include "graph/algorithms.hpp"
 #include "seed/seed.hpp"
+#include "store/graph_store.hpp"
 #include "stats/power_law.hpp"
 #include "trace/traffic_model.hpp"
 #include "util/error.hpp"
@@ -41,12 +42,29 @@ ClusterConfig four_cores() { return ClusterConfig{.nodes = 2, .cores_per_node = 
 
 // ------------------------------------------------------------- properties
 
+/// Streams `graph`'s edges into a MemoryStore and samples every property row
+/// with the shared store:props stage, as each generator does.
+PropertyGraph with_sampled_properties(const PropertyGraph& graph,
+                                      const SeedProfile& profile,
+                                      ClusterSim& cluster,
+                                      std::uint64_t seed) {
+  MemoryStore store;
+  store.begin(StoreHeader{.vertices = graph.num_vertices(),
+                          .edges = graph.num_edges(),
+                          .with_properties = true});
+  emit_columns_into(graph.sources(), graph.destinations(), store, cluster);
+  run_property_stage(store, profile, cluster, seed, graph.num_edges());
+  store.finish();
+  return store.take_graph();
+}
+
 TEST(AssignPropertiesTest, FillsEveryEdgeFromSeedSupport) {
   const SeedBundle seed = small_seed(200);
-  PropertyGraph g(10);
-  for (int i = 0; i < 200; ++i) g.add_edge(i % 10, (i * 3) % 10);
+  PropertyGraph structure(10);
+  for (int i = 0; i < 200; ++i) structure.add_edge(i % 10, (i * 3) % 10);
   ClusterSim cluster(four_cores());
-  assign_properties(g, seed.profile, cluster, 42);
+  const PropertyGraph g =
+      with_sampled_properties(structure, seed.profile, cluster, 42);
   ASSERT_TRUE(g.has_properties());
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     const EdgeProperties p = g.edge_properties(e);
@@ -57,18 +75,13 @@ TEST(AssignPropertiesTest, FillsEveryEdgeFromSeedSupport) {
 
 TEST(AssignPropertiesTest, DeterministicPerSeedValue) {
   const SeedBundle seed = small_seed(200);
-  PropertyGraph a(5);
-  PropertyGraph b(5);
-  for (int i = 0; i < 50; ++i) {
-    a.add_edge(i % 5, (i + 1) % 5);
-    b.add_edge(i % 5, (i + 1) % 5);
-  }
+  PropertyGraph structure(5);
+  for (int i = 0; i < 50; ++i) structure.add_edge(i % 5, (i + 1) % 5);
   ClusterSim cluster(four_cores());
-  assign_properties(a, seed.profile, cluster, 7);
-  assign_properties(b, seed.profile, cluster, 7);
-  EXPECT_EQ(a, b);
-  assign_properties(b, seed.profile, cluster, 8);
-  EXPECT_NE(a, b);
+  const PropertyGraph a =
+      with_sampled_properties(structure, seed.profile, cluster, 7);
+  EXPECT_EQ(a, with_sampled_properties(structure, seed.profile, cluster, 7));
+  EXPECT_NE(a, with_sampled_properties(structure, seed.profile, cluster, 8));
 }
 
 // ----------------------------------------------------------------- PGPBA
@@ -524,46 +537,6 @@ TEST(ErdosRenyiTest, ExactEdgeCountAndNoSkew) {
       *std::max_element(degrees.begin(), degrees.end());
   // Poisson(10) tail: max degree stays modest, nothing scale-free.
   EXPECT_LT(max_degree, 40u);
-}
-
-// ------------------------------------------------------------ materialize
-
-TEST(MaterializeTest, CollectsAllPartitions) {
-  ClusterSim cluster(four_cores());
-  std::vector<std::vector<Edge>> parts = {
-      {{0, 1}, {1, 2}}, {}, {{2, 3}}, {{3, 0}, {0, 2}}};
-  const Dataset<Edge> edges(cluster, std::move(parts));
-  const PropertyGraph graph = materialize_graph(edges, 4, false, cluster);
-  EXPECT_EQ(graph.num_vertices(), 4u);
-  EXPECT_EQ(graph.num_edges(), 5u);
-  EXPECT_FALSE(graph.has_properties());
-  EXPECT_EQ(graph.edge_src(0), 0u);
-  EXPECT_EQ(graph.edge_dst(4), 2u);
-}
-
-TEST(MaterializeTest, WithPropertiesAttachesColumns) {
-  ClusterSim cluster(four_cores());
-  std::vector<std::vector<Edge>> parts = {{{0, 1}}};
-  const Dataset<Edge> edges(cluster, std::move(parts));
-  const PropertyGraph graph = materialize_graph(edges, 2, true, cluster);
-  EXPECT_TRUE(graph.has_properties());
-  EXPECT_EQ(graph.protocols().size(), 1u);
-}
-
-TEST(MaterializeTest, RejectsOutOfRangeEndpoints) {
-  ClusterSim cluster(four_cores());
-  std::vector<std::vector<Edge>> parts = {{{0, 9}}};
-  const Dataset<Edge> edges(cluster, std::move(parts));
-  EXPECT_THROW(materialize_graph(edges, 2, false, cluster), CsbError);
-}
-
-TEST(MaterializeTest, EmptyDatasetGivesEmptyGraph) {
-  ClusterSim cluster(four_cores());
-  std::vector<std::vector<Edge>> parts(3);
-  const Dataset<Edge> edges(cluster, std::move(parts));
-  const PropertyGraph graph = materialize_graph(edges, 5, false, cluster);
-  EXPECT_EQ(graph.num_vertices(), 5u);
-  EXPECT_EQ(graph.num_edges(), 0u);
 }
 
 // --------------------------------------------------------- determinism

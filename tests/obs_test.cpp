@@ -472,9 +472,9 @@ TEST(GeneratorRegistryTest, TracedRunEmitsGeneratorPhases) {
     if (span.kind == "phase") phases.push_back(span.name);
     if (span.kind == "stage" || span.kind == "serial") booked += span.seconds;
   }
-  // The exact PGSK streams expand/re-multiply through the store sink, so
-  // the classic expand/re-multiply/materialize phases are replaced by the
-  // "store" phase (docs/graph-store.md).
+  // The exact PGSK streams expand/re-multiply through the store sink under
+  // the "store" phase; no generator has a "materialize" phase
+  // (docs/graph-store.md).
   for (const char* expected : {"collapse", "kronfit", "store", "properties"}) {
     EXPECT_NE(std::find(phases.begin(), phases.end(), expected), phases.end())
         << expected;
