@@ -316,6 +316,11 @@ struct IpCase {
   const char* text;
 };
 
+// Names each case by its dotted quad. Without a printer gtest would dump the
+// struct's bytes, `text` pointer included, and ctest takes the test name from
+// that dump, so the name would change with the load address.
+void PrintTo(const IpCase& c, std::ostream* os) { *os << c.text; }
+
 class IpStringTest : public ::testing::TestWithParam<IpCase> {};
 
 TEST_P(IpStringTest, RoundTrips) {

@@ -2,6 +2,8 @@
 // invariants, the benign traffic model, and the attack injectors' shapes.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <set>
 #include <unordered_set>
 
@@ -15,14 +17,21 @@ namespace {
 
 // ----------------------------------------------------------- normalization
 
+// gtest prints a case without a printer as its raw bytes, and ctest takes the
+// test name from that dump. The padding after `state` is therefore a named,
+// zero-initialised member: implicit padding holds leftover stack bytes and
+// would give the same case a different name on every test discovery.
 struct NormalizeCase {
   Protocol protocol;
   ConnState state;
+  std::array<std::uint8_t, 6> zero_pad{};
   std::uint64_t out_bytes;
   std::uint64_t in_bytes;
   std::uint32_t out_pkts;
   std::uint32_t in_pkts;
 };
+static_assert(sizeof(NormalizeCase) == 32,
+              "NormalizeCase must have no implicit padding");
 
 class NormalizeTest : public ::testing::TestWithParam<NormalizeCase> {};
 
@@ -58,17 +67,18 @@ TEST_P(NormalizeTest, ProducesConsistentSpec) {
 INSTANTIATE_TEST_SUITE_P(
     Cases, NormalizeTest,
     ::testing::Values(
-        NormalizeCase{Protocol::kTcp, ConnState::kSF, 5000, 20000, 10, 20},
-        NormalizeCase{Protocol::kTcp, ConnState::kSF, 0, 0, 0, 0},
-        NormalizeCase{Protocol::kTcp, ConnState::kS0, 100, 999, 2, 7},
-        NormalizeCase{Protocol::kTcp, ConnState::kRej, 0, 0, 3, 3},
-        NormalizeCase{Protocol::kTcp, ConnState::kS1, 100000, 2000000, 0, 0},
-        NormalizeCase{Protocol::kTcp, ConnState::kRsto, 800, 800, 5, 2},
-        NormalizeCase{Protocol::kTcp, ConnState::kRstr, 800, 800, 5, 5},
-        NormalizeCase{Protocol::kTcp, ConnState::kOth, 1500, 0, 1, 0},
-        NormalizeCase{Protocol::kUdp, ConnState::kNone, 4200, 0, 3, 0},
-        NormalizeCase{Protocol::kUdp, ConnState::kNone, 0, 0, 0, 0},
-        NormalizeCase{Protocol::kIcmp, ConnState::kNone, 640, 640, 4, 4}));
+        NormalizeCase{Protocol::kTcp, ConnState::kSF, {}, 5000, 20000, 10,
+                      20},
+        NormalizeCase{Protocol::kTcp, ConnState::kSF, {}, 0, 0, 0, 0},
+        NormalizeCase{Protocol::kTcp, ConnState::kS0, {}, 100, 999, 2, 7},
+        NormalizeCase{Protocol::kTcp, ConnState::kRej, {}, 0, 0, 3, 3},
+        NormalizeCase{Protocol::kTcp, ConnState::kS1, {}, 100000, 2000000, 0, 0},
+        NormalizeCase{Protocol::kTcp, ConnState::kRsto, {}, 800, 800, 5, 2},
+        NormalizeCase{Protocol::kTcp, ConnState::kRstr, {}, 800, 800, 5, 5},
+        NormalizeCase{Protocol::kTcp, ConnState::kOth, {}, 1500, 0, 1, 0},
+        NormalizeCase{Protocol::kUdp, ConnState::kNone, {}, 4200, 0, 3, 0},
+        NormalizeCase{Protocol::kUdp, ConnState::kNone, {}, 0, 0, 0, 0},
+        NormalizeCase{Protocol::kIcmp, ConnState::kNone, {}, 640, 640, 4, 4}));
 
 TEST(NormalizeTest, GrowsPacketsWhenPayloadExceedsCapacity) {
   SessionSpec spec;
