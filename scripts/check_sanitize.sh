@@ -66,11 +66,14 @@ done
 # (per-shard CSR counting over shared atomics, range-partitioned scatter
 # with write-behind, fanned-out verify, parallel external-sort merges), and
 # the MemoryStore, whose put_edges validates chunks on pool workers under
-# every in-RAM generate() (the golden generator digests run through it).
+# every in-RAM generate() (the golden generator digests run through it),
+# and PageRank, whose heavy-chunk pre-gather writes side sums on pool
+# workers that the fused pass then reads (graph_test's oracle cases and
+# veracity_test's pool-invariance case).
 # Only the relevant test binaries are built; the uppercase suite filter
 # skips the lowercase *_NOT_BUILT placeholders gtest_discover_tests
 # registers for unbuilt targets.
-TSAN_FILTER="${2:-ThreadPool|ParallelFor|ParallelAssembly|FlowAssembler|SeedPipeline|SeedDeterminism|SeedProfile|GraphFromNetflow|Conditional|Empirical|PcapFile|ShardStore|ExternalDistinct|MemoryStore|GeneratorGolden}"
+TSAN_FILTER="${2:-ThreadPool|ParallelFor|ParallelAssembly|FlowAssembler|SeedPipeline|SeedDeterminism|SeedProfile|GraphFromNetflow|Conditional|Empirical|PcapFile|ShardStore|ExternalDistinct|MemoryStore|GeneratorGolden|PageRank|NormalizedDistribution}"
 
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -78,7 +81,8 @@ cmake -B build-tsan -S . \
   -DCSB_BUILD_BENCHMARKS=OFF \
   -DCSB_BUILD_EXAMPLES=OFF
 cmake --build build-tsan -j "$(nproc)" \
-  --target util_test stats_test pcap_test flow_test seed_test store_test
+  --target util_test stats_test pcap_test flow_test seed_test store_test \
+  graph_test veracity_test
 
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 ctest --test-dir build-tsan -R "$TSAN_FILTER" --output-on-failure -j "$(nproc)"

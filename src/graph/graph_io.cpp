@@ -37,16 +37,23 @@ void write_column(std::ostream& out, std::span<const T> column) {
             static_cast<std::streamsize>(column.size() * sizeof(T)));
 }
 
-template <typename T>
-std::vector<T> read_column(std::istream& in, std::uint64_t count) {
-  std::vector<T> column(count);
-  in.read(reinterpret_cast<char*>(column.data()),
-          static_cast<std::streamsize>(count * sizeof(T)));
-  CSB_CHECK_MSG(in.good() || (in.eof() && in.gcount() ==
-                                              static_cast<std::streamsize>(
-                                                  count * sizeof(T))),
+/// Fills every row of the pre-sized `column` straight from the stream.
+template <typename Column>
+void read_column(std::istream& in, Column& column) {
+  using T = typename Column::value_type;
+  const auto bytes = static_cast<std::streamsize>(column.size() * sizeof(T));
+  in.read(reinterpret_cast<char*>(column.data()), bytes);
+  CSB_CHECK_MSG(in.good() || (in.eof() && in.gcount() == bytes),
                 "truncated binary graph stream");
-  return column;
+}
+
+bool known_protocol(Protocol p) {
+  return p == Protocol::kIcmp || p == Protocol::kTcp || p == Protocol::kUdp;
+}
+
+bool known_state(ConnState s) {
+  return static_cast<std::uint8_t>(s) <=
+         static_cast<std::uint8_t>(ConnState::kOth);
 }
 
 Protocol protocol_from_string(const std::string& s) {
@@ -108,38 +115,33 @@ PropertyGraph load_binary(std::istream& in) {
   CSB_CHECK_MSG(vertices <= (1ULL << 44) && edges <= (1ULL << 40),
                 "implausible graph size in binary stream");
 
-  const auto src = read_column<VertexId>(in, edges);
-  const auto dst = read_column<VertexId>(in, edges);
-
-  PropertyGraph graph(vertices);
-  graph.reserve_edges(edges);
-  if (!has_props) {
-    for (std::uint64_t e = 0; e < edges; ++e) graph.add_edge(src[e], dst[e]);
-    return graph;
+  std::vector<VertexId> src(edges);
+  std::vector<VertexId> dst(edges);
+  read_column(in, src);
+  read_column(in, dst);
+  PropertyColumns props;
+  if (has_props) {
+    props.resize_for_overwrite(edges);
+    read_column(in, props.protocol);
+    read_column(in, props.src_port);
+    read_column(in, props.dst_port);
+    read_column(in, props.duration_ms);
+    read_column(in, props.out_bytes);
+    read_column(in, props.in_bytes);
+    read_column(in, props.out_pkts);
+    read_column(in, props.in_pkts);
+    read_column(in, props.state);
+    // The enums' byte values, like the CSV reader's names, must be known.
+    CSB_CHECK_MSG(std::all_of(props.protocol.begin(), props.protocol.end(),
+                              known_protocol),
+                  "unknown protocol byte in binary graph stream");
+    CSB_CHECK_MSG(
+        std::all_of(props.state.begin(), props.state.end(), known_state),
+        "unknown conn state byte in binary graph stream");
   }
-  const auto protocol = read_column<Protocol>(in, edges);
-  const auto src_port = read_column<std::uint16_t>(in, edges);
-  const auto dst_port = read_column<std::uint16_t>(in, edges);
-  const auto duration = read_column<std::uint32_t>(in, edges);
-  const auto out_bytes = read_column<std::uint64_t>(in, edges);
-  const auto in_bytes = read_column<std::uint64_t>(in, edges);
-  const auto out_pkts = read_column<std::uint32_t>(in, edges);
-  const auto in_pkts = read_column<std::uint32_t>(in, edges);
-  const auto state = read_column<ConnState>(in, edges);
-  for (std::uint64_t e = 0; e < edges; ++e) {
-    graph.add_edge(src[e], dst[e],
-                   EdgeProperties{
-                       .protocol = protocol[e],
-                       .src_port = src_port[e],
-                       .dst_port = dst_port[e],
-                       .duration_ms = duration[e],
-                       .out_bytes = out_bytes[e],
-                       .in_bytes = in_bytes[e],
-                       .out_pkts = out_pkts[e],
-                       .in_pkts = in_pkts[e],
-                       .state = state[e],
-                   });
-  }
+  PropertyGraph graph =
+      PropertyGraph::from_columns(vertices, std::move(src), std::move(dst));
+  if (has_props) graph.attach_properties(std::move(props));
   return graph;
 }
 
@@ -152,7 +154,11 @@ void save_binary_file(const PropertyGraph& graph, const std::string& path) {
 PropertyGraph load_binary_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   CSB_CHECK_MSG(in.is_open(), "cannot open for reading: " << path);
-  return load_binary(in);
+  try {
+    return load_binary(in);
+  } catch (const CsbError& error) {
+    throw CsbError("bad binary graph " + path + ": " + error.what());
+  }
 }
 
 void save_csv(const PropertyGraph& graph, std::ostream& out) {

@@ -3,6 +3,22 @@
 // PageRank distributions are half of the paper's veracity metric (§V-A,
 // Fig. 7). The pull formulation writes each vertex's new score exactly once
 // per iteration, so the per-vertex loop parallelizes without atomics.
+//
+// pagerank_csr keeps its arithmetic apart from its scheduling. The
+// arithmetic is fixed: each vertex's in-sum is a left fold from 0.0 over
+// its in-neighbors in CSR order; the dangling and delta sums run per fixed
+// 4096-vertex chunk in vertex order, and the chunk partials are merged in
+// chunk-index order. Scores, `iterations` and `final_delta` are therefore
+// bit-identical at any pool size. The scheduling is free: each iteration is
+// one fused pass over the chunks (score, delta, dangling mass and the next
+// iteration's contributions together), and heavy chunks are pre-gathered.
+// A chunk is heavy when its in-edge count exceeds max(2^16, 8 x the mean
+// per chunk). Preferential attachment puts nearly every in-edge on its
+// earliest vertices, so one chunk can hold the whole gather. Before the
+// fused pass, the vertices of the heavy chunks are folded in parallel over
+// ranges of about 2^16 in-edges (a vertex is never split), and the fused
+// pass reads those sums. The plan depends only on `in_offsets`, never on
+// the pool size.
 #pragma once
 
 #include <cstdint>

@@ -2,7 +2,12 @@
 // algorithms, PageRank, and the three IO formats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "graph/algorithms.hpp"
 #include "graph/csr.hpp"
@@ -371,6 +376,146 @@ TEST(PageRankTest, ConvergesEarlyWithTolerance) {
   EXPECT_LT(result.iterations, 10u);  // cycle is uniform from iteration 1
 }
 
+// PageRank's arithmetic contract, written out serially in two passes per
+// iteration: contributions and the dangling mass, then the gather. Every
+// in-sum is a left fold from 0.0 in CSR order; the dangling and delta sums
+// run per 4096-vertex chunk in vertex order, and the chunk partials are
+// merged in chunk order. pagerank() must match it bit for bit at any pool
+// size, however it schedules the work.
+constexpr std::size_t kPageRankChunk = 4096;
+
+PageRankResult reference_pagerank(const PropertyGraph& graph,
+                                  const PageRankOptions& options = {}) {
+  const CsrView in(graph, CsrDirection::kIn);
+  const auto out_deg = out_degrees(graph);
+  const std::size_t n = graph.num_vertices();
+  const double inv_n = 1.0 / static_cast<double>(n);
+  std::vector<double> rank(n, inv_n);
+  std::vector<double> next(n);
+  std::vector<double> contribution(n);
+  PageRankResult result;
+  for (std::uint32_t iter = 0; iter < options.max_iterations; ++iter) {
+    double dangling = 0.0;
+    for (std::size_t begin = 0; begin < n; begin += kPageRankChunk) {
+      double partial = 0.0;
+      for (std::size_t v = begin; v < std::min(n, begin + kPageRankChunk);
+           ++v) {
+        if (out_deg[v] == 0) {
+          partial += rank[v];
+          contribution[v] = 0.0;
+        } else {
+          contribution[v] = rank[v] / static_cast<double>(out_deg[v]);
+        }
+      }
+      dangling += partial;
+    }
+    const double base = (1.0 - options.damping) * inv_n +
+                        options.damping * dangling * inv_n;
+    double delta = 0.0;
+    for (std::size_t begin = 0; begin < n; begin += kPageRankChunk) {
+      double partial = 0.0;
+      for (std::size_t v = begin; v < std::min(n, begin + kPageRankChunk);
+           ++v) {
+        double sum = 0.0;
+        for (const VertexId u : in.neighbors(v)) sum += contribution[u];
+        next[v] = base + options.damping * sum;
+        partial += std::abs(next[v] - rank[v]);
+      }
+      delta += partial;
+    }
+    rank.swap(next);
+    result.iterations = iter + 1;
+    result.final_delta = delta;
+    if (delta < options.tolerance) break;
+  }
+  result.scores = std::move(rank);
+  return result;
+}
+
+/// Chunks that pagerank_csr pre-gathers: more than 2^16 in-edges and more
+/// than 8 times the mean per chunk.
+std::size_t heavy_pagerank_chunks(const PropertyGraph& graph) {
+  const auto in_deg = in_degrees(graph);
+  const std::size_t chunks =
+      (in_deg.size() + kPageRankChunk - 1) / kPageRankChunk;
+  const double mean = static_cast<double>(graph.num_edges()) /
+                      static_cast<double>(chunks);
+  std::size_t heavy = 0;
+  for (std::size_t begin = 0; begin < in_deg.size(); begin += kPageRankChunk) {
+    std::uint64_t edges = 0;
+    for (std::size_t v = begin;
+         v < std::min(in_deg.size(), begin + kPageRankChunk); ++v) {
+      edges += in_deg[v];
+    }
+    if (edges > (1u << 16) && static_cast<double>(edges) > 8.0 * mean) {
+      ++heavy;
+    }
+  }
+  return heavy;
+}
+
+void expect_pagerank_matches_reference(const PropertyGraph& graph) {
+  const PageRankResult expected = reference_pagerank(graph);
+  for (const std::size_t threads : {1, 3, 8}) {
+    ThreadPool pool(threads);
+    const PageRankResult actual = pagerank(graph, pool);
+    ASSERT_EQ(actual.iterations, expected.iterations) << threads << " threads";
+    ASSERT_EQ(actual.final_delta, expected.final_delta)
+        << threads << " threads";
+    ASSERT_EQ(actual.scores.size(), expected.scores.size());
+    for (std::size_t v = 0; v < expected.scores.size(); ++v) {
+      ASSERT_EQ(actual.scores[v], expected.scores[v])
+          << "vertex " << v << ", " << threads << " threads";
+    }
+  }
+}
+
+/// 200k vertices: hub in-edges on ids 0-9 (10k each) and 4100-4109 (one
+/// 70k hub, larger than a pre-gather range, and nine of 3k), plus a tail
+/// of `tail` edges spread over the whole id range. Hub edges come from
+/// `hub_sources` random sources starting at `first_source`.
+PropertyGraph hub_graph(std::uint64_t first_source, std::uint64_t hub_sources,
+                        std::uint64_t tail) {
+  constexpr std::uint64_t kVertices = 200000;
+  Rng rng(71);
+  PropertyGraph g(kVertices);
+  const auto add_hub = [&](VertexId hub, std::uint64_t in_edges) {
+    for (std::uint64_t i = 0; i < in_edges; ++i) {
+      g.add_edge(first_source + rng.uniform(hub_sources), hub);
+    }
+  };
+  for (VertexId hub = 0; hub < 10; ++hub) add_hub(hub, 10000);
+  add_hub(4100, 70000);
+  for (VertexId hub = 4101; hub < 4110; ++hub) add_hub(hub, 3000);
+  for (std::uint64_t e = 0; e < tail; ++e) {
+    g.add_edge(rng.uniform(kVertices), rng.uniform(kVertices));
+  }
+  return g;
+}
+
+TEST(PageRankOracleTest, HeavyChunksMatchSerialReferenceBitForBit) {
+  const PropertyGraph g = hub_graph(0, 200000, 100000);
+  ASSERT_EQ(heavy_pagerank_chunks(g), 2u);
+  expect_pagerank_matches_reference(g);
+}
+
+TEST(PageRankOracleTest, DanglingHeavyChunksMatchSerialReference) {
+  // Hub edges all leave ids 100000-109999, and the tail is small, so the
+  // hubs and most other vertices have no out-edge: nearly all the mass
+  // moves through the dangling sum.
+  const PropertyGraph g = hub_graph(100000, 10000, 2000);
+  ASSERT_EQ(heavy_pagerank_chunks(g), 2u);
+  const auto out_deg = out_degrees(g);
+  for (VertexId hub = 0; hub < 10; ++hub) ASSERT_EQ(out_deg[hub], 0u);
+  expect_pagerank_matches_reference(g);
+}
+
+TEST(PageRankOracleTest, NoHeavyChunkMatchesSerialReference) {
+  const PropertyGraph g = random_graph(200000, 300000, 5);
+  ASSERT_EQ(heavy_pagerank_chunks(g), 0u);
+  expect_pagerank_matches_reference(g);
+}
+
 // ------------------------------------------------------------------- IO
 
 class BinaryIoTest : public ::testing::TestWithParam<bool> {};
@@ -413,6 +558,62 @@ TEST(BinaryIoTest, RejectsTruncatedStream) {
   const std::string full = buffer.str();
   std::stringstream truncated(full.substr(0, full.size() / 2));
   EXPECT_THROW(load_binary(truncated), CsbError);
+}
+
+/// Serialized form of a 4-vertex, 3-edge graph with properties.
+std::string small_binary_graph() {
+  PropertyGraph g(4);
+  g.add_edge(0, 1, sample_props());
+  g.add_edge(1, 2, sample_props());
+  g.add_edge(3, 0, sample_props());
+  std::stringstream buffer;
+  save_binary(g, buffer);
+  return buffer.str();
+}
+
+// Header: magic, version, |V|, |E|, has_props (4 + 4 + 8 + 8 + 1 bytes),
+// then src[3], dst[3], protocol[3], ..., state[3].
+constexpr std::size_t kBinaryHeader = 25;
+constexpr std::size_t kProtocolColumn = kBinaryHeader + 2 * 3 * 8;
+
+/// The bytes must be rejected from a stream, and from a file with an error
+/// that names the file.
+void expect_binary_rejected(const std::string& bytes, const std::string& tag) {
+  std::stringstream stream(bytes);
+  EXPECT_THROW(load_binary(stream), CsbError);
+  const std::string path = ::testing::TempDir() + "/csb_graph_bad_" + tag;
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << bytes;
+  }
+  try {
+    (void)load_binary_file(path);
+    ADD_FAILURE() << tag << ": load_binary_file accepted the bytes";
+  } catch (const CsbError& error) {
+    EXPECT_NE(std::string(error.what()).find(path), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(BinaryIoTest, RejectsUnknownEnumBytes) {
+  std::string bytes = small_binary_graph();
+  bytes[kProtocolColumn + 1] = 99;  // not ICMP, TCP or UDP
+  expect_binary_rejected(bytes, "protocol");
+
+  bytes = small_binary_graph();
+  bytes[bytes.size() - 1] = 8;  // the state column is last; kOth is 7
+  expect_binary_rejected(bytes, "state");
+}
+
+TEST(BinaryIoTest, RejectsTruncationInLastPropertyColumn) {
+  const std::string bytes = small_binary_graph();
+  expect_binary_rejected(bytes.substr(0, bytes.size() - 1), "truncated");
+}
+
+TEST(BinaryIoTest, RejectsOutOfRangeEndpoint) {
+  std::string bytes = small_binary_graph();
+  bytes[kBinaryHeader + 3 * 8] = 4;  // dst[0] = 4 on a 4-vertex graph
+  expect_binary_rejected(bytes, "endpoint");
 }
 
 TEST(CsvIoTest, RoundTripsWithProperties) {

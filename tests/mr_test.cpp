@@ -22,6 +22,17 @@ struct ScheduleCase {
   double makespan;
 };
 
+// Names a case by its durations and slot count, e.g.
+// `durations_3_1_1_1_slots_2`. Without a printer gtest dumps the struct's
+// bytes, the vector's heap pointers included, and ctest takes the test
+// name from that dump, so the name would change from run to run.
+void PrintTo(const ScheduleCase& c, std::ostream* os) {
+  *os << "durations";
+  if (c.durations.empty()) *os << "_none";
+  for (const double d : c.durations) *os << '_' << d;
+  *os << "_slots_" << c.slots;
+}
+
 class ListScheduleTest : public ::testing::TestWithParam<ScheduleCase> {};
 
 TEST_P(ListScheduleTest, ComputesMakespan) {

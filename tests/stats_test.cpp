@@ -192,6 +192,13 @@ struct BucketCase {
   std::uint32_t bucket;
 };
 
+// Names a case `<condition>_to_<bucket>`. Without a printer gtest dumps the
+// struct's bytes, its uninitialized tail padding included, and ctest takes
+// the test name from that dump.
+void PrintTo(const BucketCase& c, std::ostream* os) {
+  *os << c.condition << "_to_" << c.bucket;
+}
+
 class BucketOfTest : public ::testing::TestWithParam<BucketCase> {};
 
 TEST_P(BucketOfTest, Maps) {

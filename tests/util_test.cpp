@@ -232,6 +232,11 @@ struct CommaCase {
   const char* expected;
 };
 
+// Names a case by its value. Without a printer gtest dumps the struct's
+// bytes, the `expected` pointer included, and ctest takes the test name
+// from that dump, so the name would change with the load address.
+void PrintTo(const CommaCase& c, std::ostream* os) { *os << c.value; }
+
 class WithCommasTest : public ::testing::TestWithParam<CommaCase> {};
 
 TEST_P(WithCommasTest, Formats) {
