@@ -23,7 +23,7 @@ cd "$(dirname "$0")/.."
 # optional clang-tidy pass. Cheapest gate, so it fails fastest.
 ./scripts/check_lint.sh
 
-FILTER="${1:-ClusterSim|Dataset|ThreadPool|FlatSet|ListSchedule|Operations|Trace|Metrics|Json|MemWatch|GeneratorRegistry|SimplifyParallel|KronFit|ParallelFor|ShardStore|ExternalDistinct}"
+FILTER="${1:-ClusterSim|Dataset|ThreadPool|FlatSet|ListSchedule|Operations|Trace|Metrics|Json|MemWatch|GeneratorRegistry|SimplifyParallel|KronFit|ParallelFor|ForkJoin|ShardStore|ExternalDistinct}"
 
 cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -69,11 +69,15 @@ done
 # every in-RAM generate() (the golden generator digests run through it),
 # and PageRank, whose heavy-chunk pre-gather writes side sums on pool
 # workers that the fused pass then reads (graph_test's oracle cases and
-# veracity_test's pool-invariance case).
+# veracity_test's pool-invariance case), and the one fork-join every pooled
+# loop runs through: its contract tests (util_test's ForkJoin/ParallelFor/
+# ThreadPool cases), ClusterSim's stage runner on top of it, betweenness's
+# chunk-order merge of per-chunk partials, and the multi-threaded workload
+# runner.
 # Only the relevant test binaries are built; the uppercase suite filter
 # skips the lowercase *_NOT_BUILT placeholders gtest_discover_tests
 # registers for unbuilt targets.
-TSAN_FILTER="${2:-ThreadPool|ParallelFor|ParallelAssembly|FlowAssembler|SeedPipeline|SeedDeterminism|SeedProfile|GraphFromNetflow|Conditional|Empirical|PcapFile|ShardStore|ExternalDistinct|MemoryStore|GeneratorGolden|PageRank|NormalizedDistribution}"
+TSAN_FILTER="${2:-ThreadPool|ParallelFor|ForkJoin|MakeChunks|ClusterSim|Betweenness|WorkloadRunner|ParallelAssembly|FlowAssembler|SeedPipeline|SeedDeterminism|SeedProfile|GraphFromNetflow|Conditional|Empirical|PcapFile|ShardStore|ExternalDistinct|MemoryStore|GeneratorGolden|PageRank|NormalizedDistribution}"
 
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -82,7 +86,7 @@ cmake -B build-tsan -S . \
   -DCSB_BUILD_EXAMPLES=OFF
 cmake --build build-tsan -j "$(nproc)" \
   --target util_test stats_test pcap_test flow_test seed_test store_test \
-  graph_test veracity_test
+  graph_test veracity_test mr_test extensions_test workload_test
 
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 ctest --test-dir build-tsan -R "$TSAN_FILTER" --output-on-failure -j "$(nproc)"

@@ -5,6 +5,7 @@
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
+#include "util/parallel.hpp"
 
 namespace csb {
 
@@ -266,18 +267,18 @@ std::vector<NetflowRecord> assemble_flows_parallel(
   }
 
   std::vector<std::vector<FlowAssembler::Completed>> per_shard(shards);
-  std::vector<std::future<void>> pending;
-  pending.reserve(shards);
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s) {
-    pending.push_back(pool.submit([&buckets, &per_shard, options, s] {
+    tasks.emplace_back([&buckets, &per_shard, options, s] {
       FlowAssembler assembler(options);
       for (const Routed& routed : buckets[s]) {
         assembler.add(routed.packet, routed.seq);
       }
       per_shard[s] = assembler.finish_sequenced();
-    }));
+    });
   }
-  for (auto& f : pending) f.get();
+  parallel_tasks(&pool, tasks);
 
   std::vector<FlowAssembler::Completed> merged;
   std::size_t total = 0;

@@ -228,8 +228,12 @@ PropertyGraph SimplifyPlan::finish() {
 PropertyGraph simplify_parallel(const PropertyGraph& graph, ThreadPool& pool) {
   const std::size_t workers = std::max<std::size_t>(1, pool.size());
   SimplifyPlan plan(graph, workers, workers * 4);
+  // Each phase writes disjoint per-chunk or per-shard state, so the output
+  // does not depend on how the phase's indices are spread over the pool.
   const auto run = [&pool](std::size_t n, auto&& phase) {
-    parallel_for(pool, 0, n, 1, phase);
+    parallel_for_fixed_chunks(&pool, 0, n, 1, [&phase](const ChunkRange& c) {
+      phase(c.begin);
+    });
   };
   run(plan.num_chunks(), [&plan](std::size_t c) { plan.count_chunk(c); });
   plan.plan_scatter();

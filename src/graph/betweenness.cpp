@@ -1,7 +1,6 @@
 #include "graph/betweenness.hpp"
 
 #include <algorithm>
-#include <mutex>
 #include <queue>
 
 #include "graph/algorithms.hpp"
@@ -98,17 +97,26 @@ std::vector<double> betweenness_centrality(const PropertyGraph& graph,
             static_cast<double>(options.sample_sources);
   }
 
-  std::mutex merge_mutex;
-  parallel_for_chunks(
-      pool, 0, sources.size(), 1, [&](const ChunkRange& chunk) {
+  // The chunk count is fixed, not sized from the pool: each chunk
+  // accumulates into its own partial vector and the partials are summed in
+  // chunk-index order, so the scores are bit-identical at any pool size.
+  constexpr std::size_t kSourceChunks = 16;
+  const std::size_t chunk_size =
+      (sources.size() + kSourceChunks - 1) / kSourceChunks;
+  std::vector<std::vector<double>> partials(
+      (sources.size() + chunk_size - 1) / chunk_size);
+  parallel_for_fixed_chunks(
+      &pool, 0, sources.size(), chunk_size, [&](const ChunkRange& chunk) {
         BrandesScratch scratch(n);
-        std::vector<double> local(n, 0.0);
+        std::vector<double>& local = partials[chunk.chunk_index];
+        local.assign(n, 0.0);
         for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
           brandes_from_source(out_csr, sources[i], scratch, local);
         }
-        std::lock_guard<std::mutex> lock(merge_mutex);
-        for (std::uint64_t v = 0; v < n; ++v) centrality[v] += local[v];
       });
+  for (const auto& local : partials) {
+    for (std::uint64_t v = 0; v < n; ++v) centrality[v] += local[v];
+  }
 
   if (scale != 1.0) {
     for (double& c : centrality) c *= scale;

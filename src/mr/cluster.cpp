@@ -1,14 +1,12 @@
 #include "mr/cluster.hpp"
 
 #include <algorithm>
-#include <exception>
-#include <latch>
-#include <mutex>
 #include <queue>
 #include <thread>
 
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace csb {
 
@@ -81,29 +79,14 @@ StageMetrics ClusterSim::run_stage(const std::string& name,
   const double trace_t0 = trace_ != nullptr ? trace_->now() : 0.0;
   Stopwatch wall;
   std::vector<double> durations(tasks.size(), 0.0);
-  // One shared completion latch plus a single first-exception slot instead
-  // of a heap-allocated promise/future/shared-state triple per task. The
-  // latch releases only after every task ran, so no task can be left
-  // running with dangling references when the first error propagates.
-  std::latch done(static_cast<std::ptrdiff_t>(tasks.size()));
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
   for (std::size_t i = 0; i < tasks.size(); ++i) {
-    pool_->post([&durations, &done, &error_mutex, &first_error, i,
-                 task = std::move(tasks[i])] {
-      try {
-        Stopwatch timer;
-        task();
-        durations[i] = timer.seconds();
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-      done.count_down();
-    });
+    tasks[i] = [&durations, i, task = std::move(tasks[i])] {
+      Stopwatch timer;
+      task();
+      durations[i] = timer.seconds();
+    };
   }
-  done.wait();
-  if (first_error) std::rethrow_exception(first_error);
+  parallel_tasks(pool_, tasks);
 
   for (const double d : durations) stage.task_seconds += d;
   // Histogram the *measured* durations before any smoothing — the trace

@@ -106,7 +106,7 @@ class TraceRecorder {
   void set_meta(std::string key, std::string value);
 
   /// Opens a nested phase span; returns its id for end_phase. Phases form a
-  /// stack (generator phases like "grow", "expand", "properties"); stage and
+  /// stack (generator phases like "grow", "kronfit", "properties"); stage and
   /// serial spans recorded while a phase is open become its children.
   std::uint64_t begin_phase(std::string_view name);
   void end_phase(std::uint64_t id);

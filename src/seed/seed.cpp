@@ -1,7 +1,6 @@
 #include "seed/seed.hpp"
 
 #include <algorithm>
-#include <future>
 #include <unordered_map>
 #include <utility>
 
@@ -157,21 +156,14 @@ SeedProfile SeedProfile::analyze(const PropertyGraph& seed,
   profile.seed_edges_ = seed.num_edges();
   TraceRecorder* const trace = TraceRecorder::current();
 
-  // Fits dispatch as pool tasks writing disjoint profile members; each
-  // task runs its fit with a null inner pool, and only this driver blocks
-  // on futures, so tasks never wait on the pool they occupy. Every fit is
-  // bit-identical to the serial code regardless of completion order.
-  std::vector<std::future<void>> pending;
-  const auto run = [&](std::function<void()> fn) {
-    if (pool != nullptr) {
-      pending.push_back(pool->submit(std::move(fn)));
-    } else {
-      fn();
-    }
-  };
-  const auto wait = [&] {
-    for (auto& f : pending) f.get();
-    pending.clear();
+  // Fits run as parallel_tasks writing disjoint profile members; each task
+  // runs its fit with a null inner pool, and only this driver waits, so
+  // tasks never wait on the pool they occupy. Every fit is bit-identical to
+  // the serial code regardless of completion order.
+  std::vector<std::function<void()>> fits;
+  const auto wait = [&fits, pool] {
+    parallel_tasks(pool, fits);
+    fits.clear();
   };
 
   {
@@ -181,11 +173,11 @@ SeedProfile SeedProfile::analyze(const PropertyGraph& seed,
     const auto out_deg = out_degrees(seed);
     const std::vector<double> in_samples(in_deg.begin(), in_deg.end());
     const std::vector<double> out_samples(out_deg.begin(), out_deg.end());
-    run([&] {
+    fits.emplace_back([&] {
       profile.in_degree_ =
           EmpiricalDistribution::from_samples(in_samples, nullptr);
     });
-    run([&] {
+    fits.emplace_back([&] {
       profile.out_degree_ =
           EmpiricalDistribution::from_samples(out_samples, nullptr);
     });
@@ -196,13 +188,13 @@ SeedProfile SeedProfile::analyze(const PropertyGraph& seed,
   PhaseScope phase(trace, "seed:profile:attributes");
   const auto in_bytes = seed.in_bytes();
   const std::vector<double> byte_samples(in_bytes.begin(), in_bytes.end());
-  run([&] {
+  fits.emplace_back([&] {
     profile.in_bytes_ =
         EmpiricalDistribution::from_samples(byte_samples, nullptr);
   });
   const auto fit_conditional = [&](ConditionalDistribution& into,
                                    std::function<double(std::size_t)> value) {
-    run([&into, &in_bytes, value = std::move(value)] {
+    fits.emplace_back([&into, &in_bytes, value = std::move(value)] {
       into = ConditionalDistribution::fit(in_bytes, value, nullptr);
     });
   };

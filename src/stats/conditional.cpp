@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <future>
 #include <optional>
 
 #include "util/error.hpp"
@@ -32,8 +31,8 @@ namespace {
 /// offsets (accumulated in chunk order), then the scatter pass fills each
 /// bucket in input order — the grouping the old std::map-of-vectors built,
 /// without its rehashing or vector growth. Per-bucket fits and the
-/// marginal run as pool tasks with a null inner pool; only this driver
-/// blocks on futures, so tasks never wait on the pool they run on.
+/// marginal run as parallel_tasks with a null inner pool; only this driver
+/// waits, so tasks never wait on the pool they run on.
 template <typename CondFn, typename ValueFn>
 ConditionalDistribution fit_impl(std::size_t n, const CondFn& cond_of,
                                  const ValueFn& value_of, ThreadPool* pool) {
@@ -78,24 +77,18 @@ ConditionalDistribution fit_impl(std::size_t n, const CondFn& cond_of,
   }
   std::vector<std::optional<EmpiricalDistribution>> fitted(keys.size());
   std::optional<EmpiricalDistribution> marginal;
-  std::vector<std::future<void>> pending;
-  const auto run = [&](std::function<void()> fn) {
-    if (pool != nullptr) {
-      pending.push_back(pool->submit(std::move(fn)));
-    } else {
-      fn();
-    }
-  };
+  std::vector<std::function<void()>> fits;
+  fits.reserve(keys.size() + 1);
   for (std::size_t k = 0; k < keys.size(); ++k) {
-    run([&grouped, &fitted, &keys, k] {
+    fits.emplace_back([&grouped, &fitted, &keys, k] {
       fitted[k] = EmpiricalDistribution::from_weighted(
           std::move(grouped[keys[k]]), nullptr);
     });
   }
-  run([&all, &marginal] {
+  fits.emplace_back([&all, &marginal] {
     marginal = EmpiricalDistribution::from_weighted(std::move(all), nullptr);
   });
-  for (auto& f : pending) f.get();
+  parallel_tasks(pool, fits);
 
   // Buckets ascend, matching the old std::map iteration order.
   std::vector<std::pair<std::uint32_t, EmpiricalDistribution>> buckets;

@@ -615,7 +615,7 @@ void ShardStore::finish() {
           // double-buffered write-behind: while the next bucket scatters,
           // the previous slice pwrites into its disjoint file span on a
           // detached thread (std::async, never the pool — pool tasks
-          // waiting on pool futures could deadlock a full pool).
+          // waiting on other pool tasks could deadlock a full pool).
           std::vector<VertexId> slices[2];
           std::vector<std::uint64_t> next;
           std::future<void> pending;

@@ -1,28 +1,11 @@
 #include "util/parallel.hpp"
 
 #include <algorithm>
-#include <future>
+#include <exception>
+#include <latch>
+#include <mutex>
 
 namespace csb {
-
-std::vector<ChunkRange> make_chunks(std::size_t begin, std::size_t end,
-                                    std::size_t workers, std::size_t grain) {
-  std::vector<ChunkRange> chunks;
-  if (begin >= end) return chunks;
-  const std::size_t n = end - begin;
-  grain = std::max<std::size_t>(1, grain);
-  workers = std::max<std::size_t>(1, workers);
-  // Aim for ~4 chunks per worker for load balance, floor at `grain`.
-  const std::size_t target = std::max(grain, n / (workers * 4) + 1);
-  std::size_t at = begin;
-  std::size_t index = 0;
-  while (at < end) {
-    const std::size_t stop = std::min(end, at + target);
-    chunks.push_back({at, stop, index++});
-    at = stop;
-  }
-  return chunks;
-}
 
 std::vector<ChunkRange> make_fixed_chunks(std::size_t begin, std::size_t end,
                                           std::size_t chunk_size) {
@@ -41,82 +24,63 @@ std::vector<ChunkRange> make_fixed_chunks(std::size_t begin, std::size_t end,
 
 namespace {
 
-/// Runs every chunk on the pool and waits for ALL of them before rethrowing
-/// the first exception. Bailing out on the first failed future would unwind
-/// the caller's frame while later chunks still run against its references.
-void run_chunks_on_pool(ThreadPool& pool, const std::vector<ChunkRange>& chunks,
-                        const std::function<void(const ChunkRange&)>& body) {
-  if (chunks.empty()) return;
-  if (chunks.size() == 1) {
-    body(chunks.front());
+/// What the posted closures of one fork_join call share; it lives in the
+/// caller's frame, which outlasts every task.
+struct Join {
+  Join(const std::function<void(std::size_t)>& task, std::size_t count)
+      : task(task), done(static_cast<std::ptrdiff_t>(count)),
+        error_index(count) {}
+
+  const std::function<void(std::size_t)>& task;
+  std::latch done;
+  std::mutex error_mutex;
+  std::size_t error_index;  ///< lowest failing task index so far
+  std::exception_ptr error;
+};
+
+/// The fork-join: task(i) for every i in [0, count). Each posted closure
+/// carries only a pointer to the Join and its index, so it fits
+/// std::function's inline buffer — no future, promise or heap block per
+/// task. The caller waits for ALL tasks before rethrowing: unwinding at the
+/// first failure would free caller state that running tasks still use.
+void fork_join(ThreadPool* pool, std::size_t count,
+               const std::function<void(std::size_t)>& task) {
+  if (pool == nullptr || count <= 1) {
+    for (std::size_t i = 0; i < count; ++i) task(i);
     return;
   }
-  std::vector<std::future<void>> pending;
-  pending.reserve(chunks.size());
-  for (const auto& chunk : chunks) {
-    pending.push_back(pool.submit([&body, chunk] { body(chunk); }));
+  Join join(task, count);
+  for (std::size_t i = 0; i < count; ++i) {
+    pool->post([state = &join, i] {
+      try {
+        state->task(i);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(state->error_mutex);
+        if (i < state->error_index) {
+          state->error_index = i;
+          state->error = std::current_exception();
+        }
+      }
+      state->done.count_down();
+    });
   }
-  std::exception_ptr first_error;
-  for (auto& f : pending) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  join.done.wait();
+  if (join.error) std::rethrow_exception(join.error);
 }
 
 }  // namespace
-
-void parallel_for_chunks(ThreadPool& pool, std::size_t begin, std::size_t end,
-                         std::size_t grain,
-                         const std::function<void(const ChunkRange&)>& body) {
-  run_chunks_on_pool(pool, make_chunks(begin, end, pool.size(), grain), body);
-}
 
 void parallel_for_fixed_chunks(
     ThreadPool* pool, std::size_t begin, std::size_t end,
     std::size_t chunk_size, const std::function<void(const ChunkRange&)>& body) {
   const auto chunks = make_fixed_chunks(begin, end, chunk_size);
-  if (pool == nullptr) {
-    for (const auto& chunk : chunks) body(chunk);
-    return;
-  }
-  run_chunks_on_pool(*pool, chunks, body);
-}
-
-void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
-                  std::size_t grain,
-                  const std::function<void(std::size_t)>& body) {
-  parallel_for_chunks(pool, begin, end, grain, [&body](const ChunkRange& c) {
-    for (std::size_t i = c.begin; i < c.end; ++i) body(i);
-  });
+  fork_join(pool, chunks.size(),
+            [&chunks, &body](std::size_t i) { body(chunks[i]); });
 }
 
 void parallel_tasks(ThreadPool* pool,
                     const std::vector<std::function<void()>>& tasks) {
-  if (tasks.empty()) return;
-  if (pool == nullptr || tasks.size() == 1) {
-    for (const auto& task : tasks) task();
-    return;
-  }
-  std::vector<std::future<void>> pending;
-  pending.reserve(tasks.size());
-  for (const auto& task : tasks) pending.push_back(pool->submit(task));
-  // Wait for ALL tasks before rethrowing the first error in task-index
-  // order: bailing early would unwind caller state still referenced by
-  // running tasks, and completion-order rethrow would make the reported
-  // error depend on scheduling.
-  std::exception_ptr first_error;
-  for (auto& f : pending) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  fork_join(pool, tasks.size(), [&tasks](std::size_t i) { tasks[i](); });
 }
 
 }  // namespace csb

@@ -1,10 +1,12 @@
 // Data-parallel helpers layered on ThreadPool.
 //
-// parallel_for splits [begin, end) into chunks of at least `grain` indices
-// and runs them on the pool; the calling thread blocks until every chunk
-// finishes. Exceptions from any chunk propagate to the caller (first one
-// wins). Chunk boundaries are deterministic for a given (range, workers,
-// grain), which keeps per-chunk RNG forking reproducible.
+// Every pooled loop in the tree runs through one fork-join: each task goes to
+// the pool with ThreadPool::post, the caller waits on a single latch, and
+// only after EVERY task has finished is the exception of the lowest failing
+// task index rethrown. A null pool (or a single task) runs the tasks inline,
+// in index order. Chunk boundaries come from the data size alone, never from
+// the pool size, so per-chunk RNG streams and chunk-order reductions give the
+// same bytes at any pool size.
 #pragma once
 
 #include <cstddef>
@@ -22,10 +24,6 @@ struct ChunkRange {
   std::size_t chunk_index;
 };
 
-/// Computes the deterministic chunk decomposition parallel_for uses.
-std::vector<ChunkRange> make_chunks(std::size_t begin, std::size_t end,
-                                    std::size_t workers, std::size_t grain);
-
 /// Thread-count-independent decomposition: every chunk spans exactly
 /// `chunk_size` indices (the last may be short). Use where per-chunk
 /// partial results are reduced in chunk-index order, so the combined
@@ -34,29 +32,20 @@ std::vector<ChunkRange> make_chunks(std::size_t begin, std::size_t end,
 std::vector<ChunkRange> make_fixed_chunks(std::size_t begin, std::size_t end,
                                           std::size_t chunk_size);
 
-/// Runs body(chunk) for every fixed-size chunk. A null `pool` executes the
-/// chunks inline, in chunk-index order, over identical boundaries — the
-/// serial and parallel paths are the same decomposition.
+/// Runs body(chunk) for every chunk of make_fixed_chunks(begin, end,
+/// chunk_size) through the fork-join; blocks until every chunk finished. A
+/// null `pool` executes the chunks inline, in chunk-index order, over
+/// identical boundaries — the serial and parallel paths are the same
+/// decomposition.
 void parallel_for_fixed_chunks(
     ThreadPool* pool, std::size_t begin, std::size_t end,
     std::size_t chunk_size, const std::function<void(const ChunkRange&)>& body);
 
-/// Runs body(chunk) for every chunk on `pool`; blocks until completion.
-void parallel_for_chunks(ThreadPool& pool, std::size_t begin, std::size_t end,
-                         std::size_t grain,
-                         const std::function<void(const ChunkRange&)>& body);
-
-/// Element-wise convenience wrapper: body(index) for index in [begin, end).
-void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
-                  std::size_t grain,
-                  const std::function<void(std::size_t)>& body);
-
-/// Runs a fixed set of independent tasks. A null `pool` executes them
-/// inline in task-index order; otherwise every task is submitted to the
-/// pool and the caller blocks until ALL of them finish, then rethrows the
-/// first exception in task-index order (not completion order), so error
-/// reporting is deterministic at any pool size. The store's parallel
-/// finish/verify pipeline fans shard scans and range merges through this.
+/// Runs a fixed set of independent tasks through the fork-join; blocks until
+/// ALL of them finish, then rethrows the exception of the lowest failing
+/// task index (not the first to fail in time), so error reporting is
+/// deterministic at any pool size. A null `pool` executes them inline in
+/// task-index order.
 void parallel_tasks(ThreadPool* pool,
                     const std::vector<std::function<void()>>& tasks);
 

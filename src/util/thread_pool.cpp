@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/error.hpp"
+
 namespace csb {
 
 ThreadPool::ThreadPool(std::size_t threads) {

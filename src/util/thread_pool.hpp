@@ -3,21 +3,18 @@
 //
 // Tasks are type-erased std::function<void()> closures pushed to a single
 // mutex-protected queue; for the coarse-grained tasks csb schedules
-// (partition-sized units of work) queue contention is negligible. Results
-// and exceptions travel through std::future.
+// (partition-sized units of work) queue contention is negligible. post() is
+// the only way in: the fork-join in util/parallel.hpp (parallel_tasks,
+// parallel_for_fixed_chunks) waits for its tasks and delivers their errors.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <queue>
 #include <thread>
-#include <type_traits>
 #include <vector>
-
-#include "util/error.hpp"
 
 namespace csb {
 
@@ -36,26 +33,9 @@ class ThreadPool {
 
   /// Fire-and-forget enqueue: no packaged_task, no future, no shared state.
   /// The callable must not let exceptions escape (an escaping exception
-  /// would std::terminate the worker) — callers that need error delivery
-  /// catch into their own slot (see ClusterSim::run_stage) or use submit().
+  /// would std::terminate the worker); the fork-join in util/parallel.hpp
+  /// catches into its own slot and waits for every task.
   void post(std::function<void()> fn);
-
-  /// Schedule a callable; the returned future delivers its result or
-  /// rethrows its exception.
-  template <typename F>
-  auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> result = task->get_future();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      CSB_CHECK_MSG(!stopping_, "submit() on a stopped ThreadPool");
-      queue_.emplace([task] { (*task)(); });
-    }
-    cv_.notify_one();
-    return result;
-  }
 
  private:
   void worker_loop();

@@ -1,12 +1,12 @@
 #include "workload/workload_runner.hpp"
 
 #include <atomic>
-#include <future>
 #include <span>
 #include <vector>
 
 #include "stats/alias_table.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/stopwatch.hpp"
 
 namespace csb {
@@ -74,13 +74,13 @@ WorkloadResult run_workload(const GraphQueryEngine& engine,
 
   ThreadPool pool(threads);
   Stopwatch wall;
-  std::vector<std::future<void>> pending;
+  std::vector<std::function<void()>> tasks;
   std::uint64_t remaining = options.queries;
   for (std::size_t t = 0; t < threads; ++t) {
     const std::uint64_t quota = std::min<std::uint64_t>(per_thread, remaining);
     remaining -= quota;
     if (quota == 0) break;
-    pending.push_back(pool.submit([&, t, quota] {
+    tasks.emplace_back([&, t, quota] {
       Rng rng = Rng(options.seed).fork(t);
       for (std::uint64_t q = 0; q < quota; ++q) {
         const auto cls = static_cast<QueryClass>(mix.sample(rng));
@@ -88,9 +88,9 @@ WorkloadResult run_workload(const GraphQueryEngine& engine,
         ++class_counts[t][static_cast<std::size_t>(cls)];
         ++executed[t];
       }
-    }));
+    });
   }
-  for (auto& f : pending) f.get();
+  parallel_tasks(&pool, tasks);
   result.wall_seconds = wall.seconds();
 
   for (std::size_t t = 0; t < threads; ++t) {

@@ -43,7 +43,7 @@ void lambda_exit_stays_inside(TraceRecorder* trace) {
 
 void justified(TraceRecorder* trace) {
   // csblint: span-balance-ok — fixture case
-  trace->begin_phase("expand");
+  trace->begin_phase("grow");
 }
 
 }  // namespace fixture

@@ -3,6 +3,7 @@
 // move-concat, duration smoothing, and column-based graph construction.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <numeric>
 
 #include "graph/betweenness.hpp"
@@ -13,6 +14,7 @@
 #include "trace/attacks.hpp"
 #include "trace/traffic_model.hpp"
 #include "util/error.hpp"
+#include "util/random.hpp"
 
 namespace csb {
 namespace {
@@ -105,6 +107,41 @@ TEST(BetweennessTest, EmptyAndEdgelessGraphs) {
   PropertyGraph isolated(4);
   const auto bc = betweenness_centrality(isolated, pool);
   for (const double c : bc) EXPECT_DOUBLE_EQ(c, 0.0);
+}
+
+TEST(BetweennessTest, ScoresDoNotDependOnPoolSize) {
+  // Source chunks are fixed and their partials summed in chunk order, so
+  // exact and sampled scores are bit-identical at any pool size and on
+  // every repeat.
+  constexpr std::uint64_t kVertices = 2000;
+  PropertyGraph g(kVertices);
+  Rng rng(2024);
+  for (int e = 0; e < 12000; ++e) {
+    g.add_edge(rng.uniform(kVertices), rng.uniform(kVertices));
+  }
+  BetweennessOptions sampled;
+  sampled.sample_sources = 300;
+  for (const BetweennessOptions& options : {BetweennessOptions{}, sampled}) {
+    ThreadPool serial(1);
+    const auto reference = betweenness_centrality(g, serial, options);
+    for (const std::size_t threads : {1, 2, 3, 8}) {
+      ThreadPool pool(threads);
+      for (int repeat = 0; repeat < 3; ++repeat) {
+        const auto bc = betweenness_centrality(g, pool, options);
+        ASSERT_EQ(bc.size(), reference.size());
+        std::size_t differing = 0;
+        for (std::size_t v = 0; v < bc.size(); ++v) {
+          if (std::bit_cast<std::uint64_t>(bc[v]) !=
+              std::bit_cast<std::uint64_t>(reference[v])) {
+            ++differing;
+          }
+        }
+        EXPECT_EQ(differing, 0u)
+            << "sample_sources=" << options.sample_sources << ", "
+            << threads << " threads, repeat " << repeat;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------ weighted pagerank

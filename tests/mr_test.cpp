@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <string>
 #include <thread>
 
 #include "mr/cluster.hpp"
@@ -138,6 +140,44 @@ TEST(ClusterSimTest, StageExceptionPropagates) {
   tasks.push_back([] {});
   tasks.push_back([] { throw CsbError("task failed"); });
   EXPECT_THROW(cluster.run_stage("bad", std::move(tasks)), CsbError);
+}
+
+// The stage runner shares the fork-join contract: whatever the pool size,
+// the error of the lowest failing task surfaces (task 3 fails first in
+// time, task 1 wins), and only after every task has finished.
+TEST(ClusterSimTest, StageRethrowsLowestFailingTask) {
+  for (const std::size_t threads : {1, 2, 3, 8}) {
+    ThreadPool pool(threads);
+    ClusterSim cluster(ClusterConfig{.nodes = 2, .cores_per_node = 4}, pool);
+    std::vector<std::function<void()>> tasks(5, [] {});
+    tasks[1] = [] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      throw CsbError("task 1");
+    };
+    tasks[3] = [] { throw CsbError("task 3"); };
+    try {
+      cluster.run_stage("bad", std::move(tasks));
+      ADD_FAILURE() << threads << " threads: nothing thrown";
+    } catch (const CsbError& e) {
+      EXPECT_EQ(std::string(e.what()), "task 1") << threads << " threads";
+    }
+  }
+}
+
+TEST(ClusterSimTest, StageWaitsForSlowTaskBeforeRethrowing) {
+  for (const std::size_t threads : {1, 2, 3, 8}) {
+    ThreadPool pool(threads);
+    ClusterSim cluster(ClusterConfig{.nodes = 1, .cores_per_node = 2}, pool);
+    bool slow_done = false;  // ordered by the join's latch, not an atomic
+    std::vector<std::function<void()>> tasks;
+    tasks.push_back([] { throw CsbError("fast failure"); });
+    tasks.push_back([&slow_done] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      slow_done = true;
+    });
+    EXPECT_THROW(cluster.run_stage("bad", std::move(tasks)), CsbError);
+    EXPECT_TRUE(slow_done) << threads << " threads";
+  }
 }
 
 TEST(ClusterSimTest, ResetClearsMetrics) {

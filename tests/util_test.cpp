@@ -1,9 +1,16 @@
-// Unit tests for src/util: RNG, thread pool, parallel_for, formatting,
+// Unit tests for src/util: RNG, thread pool, fork-join, formatting,
 // hashing, error macros.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <functional>
+#include <latch>
+#include <memory>
+#include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -130,24 +137,34 @@ TEST(SplitMixTest, ProducesDistinctSequence) {
 
 TEST(ThreadPoolTest, ExecutesSubmittedTasks) {
   ThreadPool pool(4);
-  auto f = pool.submit([] { return 21 * 2; });
-  EXPECT_EQ(f.get(), 42);
+  int result = 0;
+  std::latch done(1);
+  pool.post([&] {
+    result = 21 * 2;
+    done.count_down();
+  });
+  done.wait();
+  EXPECT_EQ(result, 42);
 }
 
 TEST(ThreadPoolTest, PropagatesExceptions) {
   ThreadPool pool(2);
-  auto f = pool.submit([]() -> int { throw CsbError("boom"); });
-  EXPECT_THROW(f.get(), CsbError);
+  const std::vector<std::function<void()>> tasks = {
+      [] {}, [] { throw CsbError("boom"); }};
+  EXPECT_THROW(parallel_tasks(&pool, tasks), CsbError);
 }
 
 TEST(ThreadPoolTest, RunsManyTasks) {
   ThreadPool pool(3);
   std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
+  std::latch done(200);
   for (int i = 0; i < 200; ++i) {
-    futures.push_back(pool.submit([&counter] { ++counter; }));
+    pool.post([&] {
+      ++counter;
+      done.count_down();
+    });
   }
-  for (auto& f : futures) f.get();
+  done.wait();
   EXPECT_EQ(counter.load(), 200);
 }
 
@@ -162,67 +179,183 @@ class MakeChunksTest
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
 
 TEST_P(MakeChunksTest, CoversRangeExactlyOnce) {
-  const auto [n, workers] = GetParam();
-  const auto chunks = make_chunks(0, n, workers, 1);
+  const auto [n, chunk_size] = GetParam();
+  const auto chunks = make_fixed_chunks(0, n, chunk_size);
   std::size_t covered = 0;
   std::size_t expect_begin = 0;
-  for (const auto& c : chunks) {
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    const ChunkRange& c = chunks[i];
+    EXPECT_EQ(c.chunk_index, i);
     EXPECT_EQ(c.begin, expect_begin);
     EXPECT_LT(c.begin, c.end);
+    // Every chunk but the last spans exactly chunk_size indices.
+    if (c.end != n) {
+      EXPECT_EQ(c.end - c.begin, chunk_size);
+    }
     covered += c.end - c.begin;
     expect_begin = c.end;
   }
   EXPECT_EQ(covered, n);
+  EXPECT_EQ(chunks.size(), (n + chunk_size - 1) / chunk_size);
 }
 
+// The second value is the chunk size.
 INSTANTIATE_TEST_SUITE_P(
     Sizes, MakeChunksTest,
     ::testing::Combine(::testing::Values(1, 2, 10, 1000, 12345),
                        ::testing::Values(1, 2, 8, 64)));
 
 TEST(MakeChunksTest, EmptyRangeYieldsNoChunks) {
-  EXPECT_TRUE(make_chunks(5, 5, 4, 1).empty());
-  EXPECT_TRUE(make_chunks(7, 3, 4, 1).empty());
+  EXPECT_TRUE(make_fixed_chunks(5, 5, 4).empty());
+  EXPECT_TRUE(make_fixed_chunks(7, 3, 4).empty());
 }
 
 TEST(MakeChunksTest, RespectsGrain) {
-  const auto chunks = make_chunks(0, 100, 16, 50);
-  for (const auto& c : chunks) {
-    // All chunks but the last must be >= grain.
-    if (c.end != 100) {
-      EXPECT_GE(c.end - c.begin, 50u);
-    }
-  }
+  const auto chunks = make_fixed_chunks(0, 100, 30);
+  ASSERT_EQ(chunks.size(), 4u);
+  EXPECT_EQ(chunks[2].begin, 60u);
+  EXPECT_EQ(chunks[3].end - chunks[3].begin, 10u);
+  // A zero chunk size is clamped to one index per chunk.
+  EXPECT_EQ(make_fixed_chunks(0, 5, 0).size(), 5u);
 }
 
 TEST(ParallelForTest, VisitsEveryIndexOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> visits(5000);
-  parallel_for(pool, 0, visits.size(), 16,
-               [&](std::size_t i) { ++visits[i]; });
+  parallel_for_fixed_chunks(&pool, 0, visits.size(), 16,
+                            [&](const ChunkRange& c) {
+                              for (std::size_t i = c.begin; i < c.end; ++i) {
+                                ++visits[i];
+                              }
+                            });
   for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
 }
 
 TEST(ParallelForTest, PropagatesBodyExceptions) {
   ThreadPool pool(4);
-  EXPECT_THROW(parallel_for(pool, 0, 100, 1,
-                            [](std::size_t i) {
-                              if (i == 50) throw CsbError("bad index");
-                            }),
+  EXPECT_THROW(parallel_for_fixed_chunks(&pool, 0, 100, 1,
+                                         [](const ChunkRange& c) {
+                                           if (c.begin == 50) {
+                                             throw CsbError("bad index");
+                                           }
+                                         }),
                CsbError);
 }
 
 TEST(ParallelForTest, ChunkIndicesAreSequential) {
   ThreadPool pool(2);
   std::mutex mu;
-  std::set<std::size_t> indices;
-  parallel_for_chunks(pool, 0, 1000, 10, [&](const ChunkRange& c) {
+  std::vector<ChunkRange> seen;
+  parallel_for_fixed_chunks(&pool, 0, 1000, 10, [&](const ChunkRange& c) {
     std::lock_guard<std::mutex> lock(mu);
-    indices.insert(c.chunk_index);
+    seen.push_back(c);
   });
-  ASSERT_FALSE(indices.empty());
-  EXPECT_EQ(*indices.begin(), 0u);
-  EXPECT_EQ(*indices.rbegin(), indices.size() - 1);
+  std::sort(seen.begin(), seen.end(),
+            [](const ChunkRange& a, const ChunkRange& b) {
+              return a.chunk_index < b.chunk_index;
+            });
+  const auto expected = make_fixed_chunks(0, 1000, 10);
+  ASSERT_EQ(seen.size(), expected.size());
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i].chunk_index, i);
+    EXPECT_EQ(seen[i].begin, expected[i].begin);
+    EXPECT_EQ(seen[i].end, expected[i].end);
+  }
+}
+
+// The fork-join contract behind parallel_tasks and
+// parallel_for_fixed_chunks, at every pool size (nullptr = inline): the
+// error of the lowest failing task index surfaces, however the tasks are
+// scheduled, and no task is still running when the caller catches.
+
+std::vector<std::unique_ptr<ThreadPool>> contract_pools() {
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  pools.push_back(nullptr);
+  for (const std::size_t threads : {1, 2, 3, 8}) {
+    pools.push_back(std::make_unique<ThreadPool>(threads));
+  }
+  return pools;
+}
+
+std::string pool_label(const std::unique_ptr<ThreadPool>& pool) {
+  return pool ? std::to_string(pool->size()) + " threads" : "inline";
+}
+
+TEST(ForkJoinTest, ParallelTasksRethrowsLowestFailingIndex) {
+  for (const auto& pool : contract_pools()) {
+    // Task 3 fails first in time; task 1 still wins.
+    std::vector<std::function<void()>> tasks(5, [] {});
+    tasks[1] = [] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      throw CsbError("task 1");
+    };
+    tasks[3] = [] { throw CsbError("task 3"); };
+    try {
+      parallel_tasks(pool.get(), tasks);
+      ADD_FAILURE() << pool_label(pool) << ": nothing thrown";
+    } catch (const CsbError& e) {
+      EXPECT_EQ(std::string(e.what()), "task 1") << pool_label(pool);
+    }
+  }
+}
+
+TEST(ForkJoinTest, ParallelForFixedChunksRethrowsLowestFailingChunk) {
+  for (const auto& pool : contract_pools()) {
+    try {
+      parallel_for_fixed_chunks(pool.get(), 0, 50, 10,
+                                [](const ChunkRange& c) {
+                                  if (c.chunk_index == 1) {
+                                    std::this_thread::sleep_for(
+                                        std::chrono::milliseconds(20));
+                                    throw CsbError("chunk 1");
+                                  }
+                                  if (c.chunk_index == 3) {
+                                    throw CsbError("chunk 3");
+                                  }
+                                });
+      ADD_FAILURE() << pool_label(pool) << ": nothing thrown";
+    } catch (const CsbError& e) {
+      EXPECT_EQ(std::string(e.what()), "chunk 1") << pool_label(pool);
+    }
+  }
+}
+
+TEST(ForkJoinTest, SlowTaskFinishesBeforeTheCallerCatches) {
+  for (const auto& pool : contract_pools()) {
+    if (!pool) continue;  // inline: task 0's throw ends the loop
+    // Task 0 fails at once; task 1 still writes caller state afterwards.
+    // The write is plain, not atomic: the join's latch is what orders it
+    // before the catch (ThreadSanitizer checks the happens-before).
+    bool slow_done = false;
+    const std::vector<std::function<void()>> tasks = {
+        [] { throw CsbError("fast failure"); },
+        [&slow_done] {
+          std::this_thread::sleep_for(std::chrono::milliseconds(50));
+          slow_done = true;
+        }};
+    EXPECT_THROW(parallel_tasks(pool.get(), tasks), CsbError);
+    EXPECT_TRUE(slow_done) << pool_label(pool);
+
+    bool slow_chunk_done = false;
+    EXPECT_THROW(parallel_for_fixed_chunks(
+                     pool.get(), 0, 2, 1,
+                     [&slow_chunk_done](const ChunkRange& c) {
+                       if (c.chunk_index == 0) throw CsbError("fast failure");
+                       std::this_thread::sleep_for(
+                           std::chrono::milliseconds(50));
+                       slow_chunk_done = true;
+                     }),
+                 CsbError);
+    EXPECT_TRUE(slow_chunk_done) << pool_label(pool);
+  }
+}
+
+TEST(ForkJoinTest, NullPoolRunsInIndexOrder) {
+  std::vector<std::size_t> order;
+  parallel_for_fixed_chunks(nullptr, 0, 40, 10, [&order](const ChunkRange& c) {
+    order.push_back(c.chunk_index);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3}));
 }
 
 // -------------------------------------------------------------- format
