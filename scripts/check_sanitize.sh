@@ -9,7 +9,8 @@
 # ClusterSim stage runner, Dataset kernels (distinct/shuffle/concat), the
 # thread pool, the flat hash set, the list scheduler, and the observability
 # layer (trace recorder, metrics registry, NDJSON parser, generator
-# registry). Meant as a quick local gate after touching the mr/, util/ or
+# registry), and the pcap parser's malformed-input tests (the truncation/flip
+# sweep and the garbage fuzz). Meant as a quick local gate after touching the mr/, util/ or
 # obs/ hot paths; pass a gtest-style filter regex as $1 to widen or narrow
 # the selection. Finishes with the trace-overhead micro bench under the
 # sanitizers (mutex + atomic paths of the recorder, assert mode relaxed —
@@ -23,7 +24,7 @@ cd "$(dirname "$0")/.."
 # optional clang-tidy pass. Cheapest gate, so it fails fastest.
 ./scripts/check_lint.sh
 
-FILTER="${1:-ClusterSim|Dataset|ThreadPool|FlatSet|ListSchedule|Operations|Trace|Metrics|Json|MemWatch|GeneratorRegistry|SimplifyParallel|KronFit|ParallelFor|ForkJoin|ShardStore|ExternalDistinct}"
+FILTER="${1:-ClusterSim|Dataset|ThreadPool|FlatSet|ListSchedule|Operations|Trace|Metrics|Json|MemWatch|GeneratorRegistry|SimplifyParallel|KronFit|ParallelFor|ForkJoin|ShardStore|ExternalDistinct|PcapFile|FuzzSeed}"
 
 cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -41,7 +42,8 @@ ctest --test-dir build-asan -R "$FILTER" --output-on-failure -j "$(nproc)"
 ./build-asan/bench/trace_overhead --reps=2
 
 # Pure-UBSan pass (build-ubsan/) over the deterministic modules' FULL test
-# suites — gen, graph, stats, util. UBSan without ASan is cheap enough to
+# suites — gen, graph, stats, util — and the input parsers' (pcap,
+# robustness: every reader fed truncated, flipped and random bytes). UBSan without ASan is cheap enough to
 # run everything, and it is the gate that matters for byte-identical
 # output: shift overflow, signed wrap and misaligned loads are exactly the
 # UB classes that silently change emitted bytes between optimization
@@ -53,10 +55,11 @@ cmake -B build-ubsan -S . \
   -DCSB_BUILD_BENCHMARKS=OFF \
   -DCSB_BUILD_EXAMPLES=OFF
 cmake --build build-ubsan -j "$(nproc)" \
-  --target util_test stats_test graph_test gen_test
+  --target util_test stats_test graph_test gen_test pcap_test robustness_test
 
 export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
-for suite in util_test stats_test graph_test gen_test; do
+for suite in util_test stats_test graph_test gen_test pcap_test \
+  robustness_test; do
   "./build-ubsan/tests/${suite}" --gtest_brief=1
 done
 

@@ -5,7 +5,7 @@
 #include <charconv>
 #include <cmath>
 #include <functional>
-#include <mutex>
+#include <span>
 #include <utility>
 
 #include "gen/baselines.hpp"
@@ -528,50 +528,30 @@ class SbmGenerator final : public Generator {
   }
 };
 
-struct Registry {
-  std::mutex mutex;
-  std::vector<std::unique_ptr<Generator>> generators;
-};
-
-/// The registry is built lazily on first access so builtin registration
-/// cannot be dead-stripped or raced by static-init order.
-Registry& registry() {
-  static Registry instance;
-  static std::once_flag once;
-  std::call_once(once, [] {
-    instance.generators.push_back(std::make_unique<PgpbaGenerator>());
-    instance.generators.push_back(std::make_unique<PgskGenerator>());
-    instance.generators.push_back(std::make_unique<PgpbaFastGenerator>());
-    instance.generators.push_back(std::make_unique<PgskFastGenerator>());
-    instance.generators.push_back(std::make_unique<RmatGenerator>());
-    instance.generators.push_back(std::make_unique<ClassicBaGenerator>());
-    instance.generators.push_back(std::make_unique<ErdosRenyiGenerator>());
-    instance.generators.push_back(std::make_unique<ChungLuGenerator>());
-    instance.generators.push_back(std::make_unique<SbmGenerator>());
-  });
-  return instance;
+/// The builtins in lookup order. Function-local statics are built on first
+/// use, so no static-init order question arises, and the table never
+/// changes after that.
+std::span<const Generator* const> builtin_generators() {
+  static const PgpbaGenerator pgpba;
+  static const PgskGenerator pgsk;
+  static const PgpbaFastGenerator pgpba_fast;
+  static const PgskFastGenerator pgsk_fast;
+  static const RmatGenerator rmat;
+  static const ClassicBaGenerator classic_ba;
+  static const ErdosRenyiGenerator erdos_renyi;
+  static const ChungLuGenerator chung_lu;
+  static const SbmGenerator sbm;
+  static const Generator* const table[] = {
+      &pgpba, &pgsk, &pgpba_fast, &pgsk_fast, &rmat,
+      &classic_ba, &erdos_renyi, &chung_lu, &sbm};
+  return table;
 }
 
 }  // namespace
 
-void register_generator(std::unique_ptr<Generator> generator) {
-  CSB_CHECK_MSG(generator != nullptr, "cannot register a null generator");
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mutex);
-  for (auto& existing : r.generators) {
-    if (existing->name() == generator->name()) {
-      existing = std::move(generator);
-      return;
-    }
-  }
-  r.generators.push_back(std::move(generator));
-}
-
 const Generator* find_generator(std::string_view name) {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mutex);
-  for (const auto& generator : r.generators) {
-    if (generator->name() == name) return generator.get();
+  for (const Generator* generator : builtin_generators()) {
+    if (generator->name() == name) return generator;
   }
   return nullptr;
 }
@@ -588,12 +568,8 @@ const Generator& require_generator(std::string_view name) {
 }
 
 std::vector<const Generator*> all_generators() {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mutex);
-  std::vector<const Generator*> out;
-  out.reserve(r.generators.size());
-  for (const auto& generator : r.generators) out.push_back(generator.get());
-  return out;
+  const auto table = builtin_generators();
+  return {table.begin(), table.end()};
 }
 
 }  // namespace csb

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -133,17 +132,13 @@ class Generator {
 [[nodiscard]] GenResult generate_in_memory(
     const std::function<StoreGenResult(GraphStore&)>& emit);
 
-/// Adds a generator to the process-wide registry; replaces an existing
-/// entry with the same name. Builtins are registered on first lookup.
-void register_generator(std::unique_ptr<Generator> generator);
-
 /// Name lookup; nullptr when absent.
 [[nodiscard]] const Generator* find_generator(std::string_view name);
 
 /// Name lookup that throws CsbError listing the registered names.
 [[nodiscard]] const Generator& require_generator(std::string_view name);
 
-/// Every registered generator, in registration order.
+/// Every builtin generator, in table order.
 [[nodiscard]] std::vector<const Generator*> all_generators();
 
 }  // namespace csb

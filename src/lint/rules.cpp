@@ -72,8 +72,9 @@ const std::vector<RuleInfo>& catalog() {
        Severity::kError,
        {}},
       {"raw-parallel-reduce",
-       "parallel_for lambda accumulates into captured floating-point state; "
-       "use parallel_for_fixed_chunks with a chunk-order merge",
+       "parallel_for_fixed_chunks lambda accumulates into captured "
+       "floating-point state; write per-chunk partials and merge them in "
+       "chunk order",
        Severity::kError,
        {}},
       {"span-balance",
@@ -257,10 +258,7 @@ void run_raw_parallel_reduce(const SourceFile& file, const Sink& emit) {
   if (floats.empty()) return;
 
   for (std::size_t i = 0; i < toks.size(); ++i) {
-    if (!(is_ident(toks[i], "parallel_for") ||
-          is_ident(toks[i], "parallel_for_chunks"))) {
-      continue;
-    }
+    if (!is_ident(toks[i], "parallel_for_fixed_chunks")) continue;
     const std::size_t open = next_code(toks, i + 1);
     if (open == kNpos || !is_punct(toks[open], "(")) continue;
     const std::size_t call_end = skip_balanced(toks, open, "(", ")");
@@ -302,10 +300,10 @@ void run_raw_parallel_reduce(const SourceFile& file, const Sink& emit) {
         continue;
       }
       emit(toks[j].line,
-           "lambda passed to " + toks[i].text +
-               " accumulates into captured floating-point '" + toks[j].text +
-               "' — chunk execution order changes the rounding; use "
-               "parallel_for_fixed_chunks with per-chunk partials merged in "
+           "lambda passed to parallel_for_fixed_chunks accumulates into "
+           "captured floating-point '" + toks[j].text +
+               "' — chunks finish in any order, so the rounding changes "
+               "from run to run; write per-chunk partials and merge them in "
                "chunk-index order");
     }
   }

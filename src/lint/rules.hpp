@@ -12,9 +12,10 @@
 //   detached-thread-capture no std::thread/std::async lambda capturing by
 //                          reference or `this`; no bare .detach()
 //   lock-discipline        no raw mutex .lock()/.unlock(); RAII guards only
-//   raw-parallel-reduce    no parallel_for lambda accumulating into captured
-//                          floating-point state (order-sensitive rounding);
-//                          use parallel_for_fixed_chunks + chunk-order merge
+//   raw-parallel-reduce    no parallel_for_fixed_chunks lambda accumulating
+//                          into captured floating-point state (completion-
+//                          order rounding); per-chunk partials + chunk-order
+//                          merge
 //   span-balance           every begin_phase reaches its end_phase on every
 //                          control path; no run_stage inside run_serial
 //   span-naming            trace/obs span literals must match the documented

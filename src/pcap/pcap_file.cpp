@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
-#include <istream>
 #include <ostream>
 
 #include "util/error.hpp"
-#include "util/parallel.hpp"
 
 namespace csb {
 
@@ -46,8 +44,13 @@ std::uint16_t load16(const std::uint8_t* p, bool swapped) noexcept {
   return swapped ? byteswap16(v) : v;
 }
 
-/// Records per fixed chunk when filling packet vectors from an index.
-constexpr std::size_t kReadChunk = 2048;
+/// Rejects malformed input, naming the file and the offset of the field
+/// that failed.
+[[noreturn]] void bad_pcap(const std::string& path, std::uint64_t offset,
+                           const std::string& reason) {
+  throw CsbError("bad pcap " + path + ": byte " + std::to_string(offset) +
+                 ": " + reason);
+}
 
 }  // namespace
 
@@ -85,61 +88,6 @@ void PcapWriter::write(const PcapPacket& packet) {
   ++packets_;
 }
 
-PcapReader::PcapReader(std::istream& in) : in_(in) {
-  std::uint8_t header[24];
-  in_.read(reinterpret_cast<char*>(header), sizeof header);
-  CSB_CHECK_MSG(in_.good(), "truncated pcap global header");
-  std::uint32_t magic;
-  std::memcpy(&magic, header, sizeof magic);
-  switch (magic) {
-    case kMagicUsec: break;
-    case kMagicNsec: nanoseconds_ = true; break;
-    case kMagicUsecSwapped: swapped_ = true; break;
-    case kMagicNsecSwapped:
-      swapped_ = true;
-      nanoseconds_ = true;
-      break;
-    default:
-      throw CsbError("not a pcap file (bad magic)");
-  }
-  snaplen_ = decode32(header + 16);
-  linktype_ = decode32(header + 20);
-  const std::uint16_t major = decode16(header + 4);
-  CSB_CHECK_MSG(major == kVersionMajor, "unsupported pcap version");
-}
-
-bool PcapReader::next(PcapPacket& packet) {
-  std::uint8_t header[16];
-  in_.read(reinterpret_cast<char*>(header), sizeof header);
-  if (in_.gcount() == 0 && in_.eof()) return false;
-  CSB_CHECK_MSG(in_.gcount() == sizeof header, "truncated pcap record header");
-  const std::uint32_t ts_sec = decode32(header);
-  const std::uint32_t ts_frac = decode32(header + 4);
-  const std::uint32_t incl_len = decode32(header + 8);
-  packet.orig_len = decode32(header + 12);
-  CSB_CHECK_MSG(incl_len <= snaplen_ + 65536u, "implausible pcap record size");
-  packet.timestamp_us =
-      static_cast<std::uint64_t>(ts_sec) * 1000000 +
-      (nanoseconds_ ? ts_frac / 1000 : ts_frac);
-  packet.data.resize(incl_len);
-  in_.read(reinterpret_cast<char*>(packet.data.data()), incl_len);
-  CSB_CHECK_MSG(in_.gcount() == static_cast<std::streamsize>(incl_len),
-                "truncated pcap record payload");
-  return true;
-}
-
-std::uint32_t PcapReader::decode32(const std::uint8_t* p) const noexcept {
-  std::uint32_t v;
-  std::memcpy(&v, p, sizeof v);
-  return swapped_ ? byteswap32(v) : v;
-}
-
-std::uint16_t PcapReader::decode16(const std::uint8_t* p) const noexcept {
-  std::uint16_t v;
-  std::memcpy(&v, p, sizeof v);
-  return swapped_ ? byteswap16(v) : v;
-}
-
 void write_pcap_file(const std::string& path,
                      const std::vector<PcapPacket>& packets) {
   std::ofstream out(path, std::ios::binary);
@@ -148,28 +96,23 @@ void write_pcap_file(const std::string& path,
   for (const auto& packet : packets) writer.write(packet);
 }
 
-PcapPacket IndexedPcap::packet(std::size_t i) const {
-  const PcapRecordRef& ref = records[i];
-  PcapPacket out;
-  out.timestamp_us = ref.timestamp_us;
-  out.orig_len = ref.orig_len;
-  out.data.assign(bytes(ref), bytes(ref) + ref.captured_len);
-  return out;
-}
-
 IndexedPcap index_pcap_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  CSB_CHECK_MSG(in.is_open(), "cannot open for reading: " << path);
-  in.seekg(0, std::ios::end);
-  const auto file_size = static_cast<std::uint64_t>(in.tellg());
-  in.seekg(0, std::ios::beg);
-  CSB_CHECK_MSG(file_size >= 24, "truncated pcap global header");
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in.is_open()) throw CsbError("cannot open for reading: " + path);
+  const std::streamoff end = in.tellg();
+  if (end < 0) throw CsbError("cannot read pcap file: " + path);
+  const auto file_size = static_cast<std::uint64_t>(end);
+  if (file_size < 24) {
+    bad_pcap(path, 0, "truncated global header (" +
+                          std::to_string(file_size) + " of 24 bytes)");
+  }
 
   IndexedPcap capture;
   capture.data.resize(file_size);
+  in.seekg(0, std::ios::beg);
   in.read(reinterpret_cast<char*>(capture.data.data()),
           static_cast<std::streamsize>(file_size));
-  CSB_CHECK_MSG(in.good(), "failed reading pcap file: " << path);
+  if (!in.good()) throw CsbError("failed reading pcap file: " + path);
 
   bool swapped = false;
   bool nanoseconds = false;
@@ -184,26 +127,36 @@ IndexedPcap index_pcap_file(const std::string& path) {
       nanoseconds = true;
       break;
     default:
-      throw CsbError("not a pcap file (bad magic)");
+      bad_pcap(path, 0, "not a pcap file (bad magic)");
   }
   const std::uint16_t major = load16(capture.data.data() + 4, swapped);
-  CSB_CHECK_MSG(major == kVersionMajor, "unsupported pcap version");
+  if (major != kVersionMajor) {
+    bad_pcap(path, 4, "unsupported version " + std::to_string(major));
+  }
   capture.snaplen = load32(capture.data.data() + 16, swapped);
   capture.linktype = load32(capture.data.data() + 20, swapped);
+  const std::uint64_t max_record = std::uint64_t{capture.snaplen} + 65536;
 
   // One sequential walk over the record headers; payload bytes stay where
   // they are, only (timestamp, lengths, offset) go into the index.
   std::uint64_t at = 24;
   while (at < file_size) {
-    CSB_CHECK_MSG(file_size - at >= 16, "truncated pcap record header");
+    if (file_size - at < 16) bad_pcap(path, at, "truncated record header");
     const std::uint8_t* header = capture.data.data() + at;
     const std::uint32_t ts_sec = load32(header, swapped);
     const std::uint32_t ts_frac = load32(header + 4, swapped);
     const std::uint32_t incl_len = load32(header + 8, swapped);
-    CSB_CHECK_MSG(incl_len <= capture.snaplen + 65536u,
-                  "implausible pcap record size");
-    CSB_CHECK_MSG(file_size - at - 16 >= incl_len,
-                  "truncated pcap record payload");
+    if (incl_len > max_record) {
+      bad_pcap(path, at + 8,
+               "implausible record size " + std::to_string(incl_len) +
+                   " (snaplen " + std::to_string(capture.snaplen) + ")");
+    }
+    if (file_size - at - 16 < incl_len) {
+      bad_pcap(path, at + 16,
+               "truncated record payload (" +
+                   std::to_string(file_size - at - 16) + " of " +
+                   std::to_string(incl_len) + " bytes)");
+    }
     PcapRecordRef ref;
     ref.timestamp_us = static_cast<std::uint64_t>(ts_sec) * 1000000 +
                        (nanoseconds ? ts_frac / 1000 : ts_frac);
@@ -214,24 +167,6 @@ IndexedPcap index_pcap_file(const std::string& path) {
     at += 16 + static_cast<std::uint64_t>(incl_len);
   }
   return capture;
-}
-
-std::vector<PcapPacket> read_pcap_file(const std::string& path,
-                                       ThreadPool* pool) {
-  const IndexedPcap capture = index_pcap_file(path);
-  std::vector<PcapPacket> packets(capture.records.size());
-  parallel_for_fixed_chunks(
-      pool, 0, capture.records.size(), kReadChunk,
-      [&](const ChunkRange& chunk) {
-        for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
-          const PcapRecordRef& ref = capture.records[i];
-          packets[i].timestamp_us = ref.timestamp_us;
-          packets[i].orig_len = ref.orig_len;
-          packets[i].data.assign(capture.bytes(ref),
-                                 capture.bytes(ref) + ref.captured_len);
-        }
-      });
-  return packets;
 }
 
 }  // namespace csb

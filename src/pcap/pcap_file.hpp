@@ -16,8 +16,6 @@
 
 namespace csb {
 
-class ThreadPool;
-
 /// One captured packet: capture timestamp plus the captured bytes. orig_len
 /// may exceed data.size() when the capture was truncated by the snap length
 /// (flow byte accounting must use orig_len, as Bro does).
@@ -51,28 +49,6 @@ class PcapWriter {
   std::uint64_t packets_ = 0;
 };
 
-class PcapReader {
- public:
-  /// Parses the global header; throws CsbError on a bad magic.
-  explicit PcapReader(std::istream& in);
-
-  /// Reads the next record into `packet`; returns false at end of stream.
-  bool next(PcapPacket& packet);
-
-  [[nodiscard]] std::uint32_t linktype() const noexcept { return linktype_; }
-  [[nodiscard]] std::uint32_t snaplen() const noexcept { return snaplen_; }
-
- private:
-  std::uint32_t decode32(const std::uint8_t* p) const noexcept;
-  std::uint16_t decode16(const std::uint8_t* p) const noexcept;
-
-  std::istream& in_;
-  bool swapped_ = false;      ///< file byte order differs from host
-  bool nanoseconds_ = false;  ///< 0xa1b23c4d magic
-  std::uint32_t snaplen_ = 0;
-  std::uint32_t linktype_ = 0;
-};
-
 /// One record of an indexed capture: the per-record header fields plus the
 /// byte offset of the captured payload inside IndexedPcap::data.
 struct PcapRecordRef {
@@ -84,8 +60,8 @@ struct PcapRecordRef {
 
 /// A capture loaded in one sequential pass: the raw file bytes plus a
 /// per-record index. Reading a record through the index touches only its
-/// own bytes, so fixed record chunks can be parsed or decoded in parallel
-/// (read_pcap_file and the seed pipeline both do).
+/// own bytes, so the seed pipeline decodes fixed record chunks in parallel
+/// straight out of `data`.
 struct IndexedPcap {
   std::vector<std::uint8_t> data;
   std::vector<PcapRecordRef> records;
@@ -96,21 +72,15 @@ struct IndexedPcap {
       const noexcept {
     return data.data() + ref.offset;
   }
-
-  /// Materializes record `i` as a standalone packet (copies the payload).
-  [[nodiscard]] PcapPacket packet(std::size_t i) const;
 };
 
-/// Reads the whole file and builds the record index without materializing
-/// any per-packet buffers. Throws CsbError on a bad magic or truncation.
+/// The library's one pcap parser. Reads the whole file into one buffer and
+/// builds the record index without materializing any per-packet buffers.
+/// Malformed input throws CsbError("bad pcap <path>: byte <offset>:
+/// <reason>"), the offset pointing at the field that failed.
 IndexedPcap index_pcap_file(const std::string& path);
 
-/// Convenience round-trips. read_pcap_file indexes the file, then fills the
-/// packet vector over fixed record chunks on `pool` (inline when null);
-/// output is identical for any pool size.
 void write_pcap_file(const std::string& path,
                      const std::vector<PcapPacket>& packets);
-std::vector<PcapPacket> read_pcap_file(const std::string& path,
-                                       ThreadPool* pool = nullptr);
 
 }  // namespace csb

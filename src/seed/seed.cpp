@@ -321,39 +321,39 @@ std::vector<DecodedPacket> decode_packets(const IndexedPcap& capture,
 
 namespace {
 
-SeedBundle build_seed_from_decoded(const std::vector<DecodedPacket>& decoded,
-                                   const SeedOptions& options) {
-  TraceRecorder* const trace = TraceRecorder::current();
-  std::vector<NetflowRecord> flows;
-  {
-    PhaseScope phase(trace, "seed:assemble-flows");
-    if (options.pool != nullptr) {
-      flows = assemble_flows_parallel(decoded, *options.pool,
-                                      options.flow_shards);
-    } else {
-      flows = assemble_flows(decoded);
-    }
-  }
-  return build_seed_from_netflow(flows, options);
+std::vector<NetflowRecord> assemble_decoded(
+    const std::vector<DecodedPacket>& decoded, ThreadPool* pool) {
+  PhaseScope phase(TraceRecorder::current(), "seed:assemble-flows");
+  if (pool != nullptr) return assemble_flows_parallel(decoded, *pool);
+  return assemble_flows(decoded);
 }
 
 }  // namespace
 
 SeedBundle build_seed_from_packets(const std::vector<PcapPacket>& packets,
                                    const SeedOptions& options) {
-  return build_seed_from_decoded(decode_packets(packets, options.pool),
-                                 options);
+  return build_seed_from_netflow(
+      assemble_decoded(decode_packets(packets, options.pool), options.pool),
+      options);
+}
+
+std::vector<NetflowRecord> flows_from_pcap_file(const std::string& path,
+                                                ThreadPool* pool) {
+  std::vector<DecodedPacket> decoded;
+  {
+    IndexedPcap capture;
+    {
+      PhaseScope phase(TraceRecorder::current(), "seed:index");
+      capture = index_pcap_file(path);
+    }
+    decoded = decode_packets(capture, pool);
+  }
+  return assemble_decoded(decoded, pool);
 }
 
 SeedBundle build_seed_from_pcap_file(const std::string& path,
                                      const SeedOptions& options) {
-  TraceRecorder* const trace = TraceRecorder::current();
-  IndexedPcap capture;
-  {
-    PhaseScope phase(trace, "seed:index");
-    capture = index_pcap_file(path);
-  }
-  return build_seed_from_decoded(decode_packets(capture, options.pool),
+  return build_seed_from_netflow(flows_from_pcap_file(path, options.pool),
                                  options);
 }
 

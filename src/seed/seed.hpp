@@ -34,9 +34,8 @@ class ThreadPool;
 /// pool (the historical serial code path) included.
 struct SeedOptions {
   /// Worker pool for every pipeline stage; null runs everything inline.
+  /// Flow assembly shards over the pool's size.
   ThreadPool* pool = nullptr;
-  /// Shard count for flow assembly; 0 uses the pool size.
-  std::size_t flow_shards = 0;
 };
 
 /// Maps NetFlow records onto a property-graph: distinct IPs become dense
@@ -165,8 +164,16 @@ std::vector<DecodedPacket> decode_packets(const IndexedPcap& capture,
 SeedBundle build_seed_from_packets(const std::vector<PcapPacket>& packets,
                                    const SeedOptions& options = {});
 
-/// Full Fig. 1 pipeline from a pcap file on disk, via the block-indexed
-/// reader (`seed:index` phase) so decode parallelizes over the raw buffer.
+/// Fig. 1's PCAP -> NetFlow half for a capture on disk: index_pcap_file
+/// (`seed:index` phase), decode straight out of the file buffer
+/// (`seed:decode`), then flow assembly (`seed:assemble-flows`), sharded
+/// over `pool` when one is given. The file is read into one buffer, which
+/// is freed once decoded.
+std::vector<NetflowRecord> flows_from_pcap_file(const std::string& path,
+                                                ThreadPool* pool = nullptr);
+
+/// Full Fig. 1 pipeline from a pcap file on disk: flows_from_pcap_file,
+/// then the seed graph and its profile.
 SeedBundle build_seed_from_pcap_file(const std::string& path,
                                      const SeedOptions& options = {});
 

@@ -1,7 +1,7 @@
 #include "store/graph_format.hpp"
 
 #include <fstream>
-#include <mutex>
+#include <span>
 #include <utility>
 
 #include "graph/graph_io.hpp"
@@ -87,24 +87,16 @@ class ShardsFormat final : public GraphFormat {
   }
 };
 
-struct Registry {
-  std::mutex mutex;
-  std::vector<std::unique_ptr<GraphFormat>> formats;
-};
-
-/// Built lazily on first access so builtin registration cannot be
-/// dead-stripped or raced by static-init order (same shape as the
-/// Generator registry).
-Registry& registry() {
-  static Registry instance;
-  static std::once_flag once;
-  std::call_once(once, [] {
-    instance.formats.push_back(std::make_unique<BinaryFormat>());
-    instance.formats.push_back(std::make_unique<CsvFormat>());
-    instance.formats.push_back(std::make_unique<GraphmlFormat>());
-    instance.formats.push_back(std::make_unique<ShardsFormat>());
-  });
-  return instance;
+/// The builtins in lookup order, built on first use like the Generator
+/// table and never changed after that.
+std::span<const GraphFormat* const> builtin_formats() {
+  static const BinaryFormat binary;
+  static const CsvFormat csv;
+  static const GraphmlFormat graphml;
+  static const ShardsFormat shards;
+  static const GraphFormat* const table[] = {&binary, &csv, &graphml,
+                                             &shards};
+  return table;
 }
 
 }  // namespace
@@ -144,24 +136,9 @@ void replay_graph_into(const PropertyGraph& graph, GraphStore& store,
   store.finish();
 }
 
-void register_graph_format(std::unique_ptr<GraphFormat> format) {
-  CSB_CHECK_MSG(format != nullptr, "cannot register a null graph format");
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mutex);
-  for (auto& existing : r.formats) {
-    if (existing->name() == format->name()) {
-      existing = std::move(format);
-      return;
-    }
-  }
-  r.formats.push_back(std::move(format));
-}
-
 const GraphFormat* find_graph_format(std::string_view name) {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mutex);
-  for (const auto& format : r.formats) {
-    if (format->name() == name) return format.get();
+  for (const GraphFormat* format : builtin_formats()) {
+    if (format->name() == name) return format;
   }
   return nullptr;
 }
@@ -178,12 +155,8 @@ const GraphFormat& require_graph_format(std::string_view name) {
 }
 
 std::vector<const GraphFormat*> all_graph_formats() {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mutex);
-  std::vector<const GraphFormat*> out;
-  out.reserve(r.formats.size());
-  for (const auto& format : r.formats) out.push_back(format.get());
-  return out;
+  const auto table = builtin_formats();
+  return {table.begin(), table.end()};
 }
 
 }  // namespace csb

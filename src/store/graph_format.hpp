@@ -5,7 +5,6 @@
 // defaulting. Builtins: binary, csv, graphml, shards.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,8 +21,6 @@ class GraphFormat {
   [[nodiscard]] virtual std::string_view description() const = 0;
   /// True when `path` names a directory (shards), false for a single file.
   [[nodiscard]] virtual bool is_directory_format() const { return false; }
-  /// False for export-only formats (no loader).
-  [[nodiscard]] virtual bool can_load() const { return true; }
 
   virtual void save(const PropertyGraph& graph,
                     const std::string& path) const = 0;
@@ -31,17 +28,13 @@ class GraphFormat {
   [[nodiscard]] virtual PropertyGraph load(const std::string& path) const = 0;
 };
 
-/// Adds a format to the process-wide registry; replaces an existing entry
-/// with the same name. Builtins are registered on first lookup.
-void register_graph_format(std::unique_ptr<GraphFormat> format);
-
 /// Name lookup; nullptr when absent.
 [[nodiscard]] const GraphFormat* find_graph_format(std::string_view name);
 
 /// Name lookup that throws CsbError listing the registered names.
 [[nodiscard]] const GraphFormat& require_graph_format(std::string_view name);
 
-/// Every registered format, in registration order.
+/// Every builtin format, in table order.
 [[nodiscard]] std::vector<const GraphFormat*> all_graph_formats();
 
 }  // namespace csb

@@ -22,26 +22,17 @@ namespace csb {
 namespace {
 
 TEST(EndToEndTest, PcapToSeedToPgpbaToVeracity) {
-  // 1. Model -> real PCAP byte stream.
+  // 1. Model -> real PCAP file.
   TrafficModelConfig config;
   config.benign_sessions = 600;
   config.client_hosts = 100;
   config.server_hosts = 25;
   const auto sessions = TrafficModel(config).generate_benign();
-  std::stringstream pcap_stream;
-  {
-    PcapWriter writer(pcap_stream);
-    for (const auto& packet : sessions_to_packets(sessions)) {
-      writer.write(packet);
-    }
-  }
+  const std::string path = ::testing::TempDir() + "/csb_end_to_end.pcap";
+  write_pcap_file(path, sessions_to_packets(sessions));
 
-  // 2. PCAP -> seed bundle (Fig. 1).
-  PcapReader reader(pcap_stream);
-  std::vector<PcapPacket> packets;
-  PcapPacket packet;
-  while (reader.next(packet)) packets.push_back(packet);
-  const SeedBundle seed = build_seed_from_packets(packets);
+  // 2. PCAP file -> seed bundle (Fig. 1).
+  const SeedBundle seed = build_seed_from_pcap_file(path);
   ASSERT_GT(seed.graph.num_edges(), 500u);
 
   // 3. Seed -> synthetic graph (PGPBA).

@@ -3,6 +3,8 @@
 // of bounds. Deterministic pseudo-fuzz with bounded iterations.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <fstream>
 #include <sstream>
 
 #include "flow/netflow_io.hpp"
@@ -63,17 +65,33 @@ TEST_P(FuzzSeedTest, DecodeMutatedValidFramesNeverCrashes) {
 
 TEST_P(FuzzSeedTest, PcapReaderRejectsGarbage) {
   Rng rng(GetParam() ^ 0xabc);
+  const std::string path = ::testing::TempDir() + "/csb_fuzz_pcap_" +
+                           std::to_string(GetParam()) + ".pcap";
+  static constexpr std::uint32_t kMagics[] = {0xa1b2c3d4, 0xa1b23c4d,
+                                              0xd4c3b2a1, 0x4d3cb2a1};
   for (int i = 0; i < 300; ++i) {
-    const auto bytes = random_bytes(rng, 512);
-    std::stringstream stream(
-        std::string(reinterpret_cast<const char*>(bytes.data()), bytes.size()));
+    auto bytes = random_bytes(rng, 512);
+    // Half the time, start with a valid magic and version 2 so the record
+    // walk sees the garbage.
+    if (rng.bernoulli(0.5) && bytes.size() >= 6) {
+      const std::uint32_t magic = kMagics[rng.uniform(4)];
+      std::memcpy(bytes.data(), &magic, sizeof magic);
+      const bool swapped = magic == 0xd4c3b2a1 || magic == 0x4d3cb2a1;
+      bytes[4] = swapped ? 0 : 2;
+      bytes[5] = swapped ? 2 : 0;
+    }
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(reinterpret_cast<const char*>(bytes.data()),
+                static_cast<std::streamsize>(bytes.size()));
+    }
     try {
-      PcapReader reader(stream);
-      PcapPacket packet;
-      for (int records = 0; records < 10 && reader.next(packet); ++records) {
-      }
-    } catch (const CsbError&) {
-      // expected for malformed input
+      (void)index_pcap_file(path);
+    } catch (const CsbError& error) {
+      // expected for malformed input, reported as such
+      const std::string message = error.what();
+      EXPECT_EQ(message.rfind("bad pcap " + path + ": byte ", 0), 0u)
+          << message;
     }
   }
 }

@@ -28,7 +28,6 @@
 #include <thread>
 #include <vector>
 
-#include "flow/assembler.hpp"
 #include "flow/netflow_io.hpp"
 #include "gen/generator.hpp"
 #include "obs/metrics.hpp"
@@ -40,7 +39,6 @@
 #include "ids/calibrate.hpp"
 #include "ids/detector.hpp"
 #include "ids/streaming.hpp"
-#include "pcap/packet.hpp"
 #include "pcap/pcap_file.hpp"
 #include "seed/seed.hpp"
 #include "stats/power_law.hpp"
@@ -230,16 +228,7 @@ commands:
 std::vector<NetflowRecord> load_flows(const std::string& path,
                                       ThreadPool* pool = nullptr) {
   if (path.size() > 5 && path.substr(path.size() - 5) == ".pcap") {
-    TraceRecorder* const recorder = TraceRecorder::current();
-    IndexedPcap capture;
-    {
-      PhaseScope phase(recorder, "seed:index");
-      capture = index_pcap_file(path);
-    }
-    const auto decoded = decode_packets(capture, pool);
-    PhaseScope phase(recorder, "seed:assemble-flows");
-    if (pool != nullptr) return assemble_flows_parallel(decoded, *pool);
-    return assemble_flows(decoded);
+    return flows_from_pcap_file(path, pool);
   }
   return load_netflow_csv_file(path);
 }
@@ -335,7 +324,7 @@ int cmd_seed(const Args& args) {
   MetricsRegistry::instance().reset_all();
 
   // --trace: the seed pipeline has no ClusterSim, so its phases attach via
-  // the process-wide recorder slot (see build_seed_from_packets).
+  // the process-wide recorder slot (see flows_from_pcap_file).
   std::unique_ptr<TraceRecorder> recorder;
   if (args.has("trace")) {
     recorder = std::make_unique<TraceRecorder>();
