@@ -9,8 +9,9 @@
 # ClusterSim stage runner, Dataset kernels (distinct/shuffle/concat), the
 # thread pool, the flat hash set, the list scheduler, and the observability
 # layer (trace recorder, metrics registry, NDJSON parser, generator
-# registry), and the pcap parser's malformed-input tests (the truncation/flip
-# sweep and the garbage fuzz). Meant as a quick local gate after touching the mr/, util/ or
+# registry), the pcap parser's malformed-input tests (the truncation/flip
+# sweep over the mapped file and the garbage fuzz), and the flow assembler
+# (its idle list points into hash-table nodes). Meant as a quick local gate after touching the mr/, util/ or
 # obs/ hot paths; pass a gtest-style filter regex as $1 to widen or narrow
 # the selection. Finishes with the trace-overhead micro bench under the
 # sanitizers (mutex + atomic paths of the recorder, assert mode relaxed —
@@ -24,7 +25,7 @@ cd "$(dirname "$0")/.."
 # optional clang-tidy pass. Cheapest gate, so it fails fastest.
 ./scripts/check_lint.sh
 
-FILTER="${1:-ClusterSim|Dataset|ThreadPool|FlatSet|ListSchedule|Operations|Trace|Metrics|Json|MemWatch|GeneratorRegistry|SimplifyParallel|KronFit|ParallelFor|ForkJoin|ShardStore|ExternalDistinct|PcapFile|FuzzSeed}"
+FILTER="${1:-ClusterSim|Dataset|ThreadPool|FlatSet|ListSchedule|Operations|Trace|Metrics|Json|MemWatch|GeneratorRegistry|SimplifyParallel|KronFit|ParallelFor|ForkJoin|ShardStore|ExternalDistinct|PcapFile|FuzzSeed|FlowAssembler|ParallelAssembly|FlowGolden}"
 
 cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -80,7 +81,7 @@ done
 # Only the relevant test binaries are built; the uppercase suite filter
 # skips the lowercase *_NOT_BUILT placeholders gtest_discover_tests
 # registers for unbuilt targets.
-TSAN_FILTER="${2:-ThreadPool|ParallelFor|ForkJoin|MakeChunks|ClusterSim|Betweenness|WorkloadRunner|ParallelAssembly|FlowAssembler|SeedPipeline|SeedDeterminism|SeedProfile|GraphFromNetflow|Conditional|Empirical|PcapFile|ShardStore|ExternalDistinct|MemoryStore|GeneratorGolden|PageRank|NormalizedDistribution}"
+TSAN_FILTER="${2:-ThreadPool|ParallelFor|ForkJoin|MakeChunks|ClusterSim|Betweenness|WorkloadRunner|ParallelAssembly|FlowAssembler|FlowGolden|SeedPipeline|SeedDeterminism|SeedProfile|GraphFromNetflow|Conditional|Empirical|PcapFile|ShardStore|ExternalDistinct|MemoryStore|GeneratorGolden|PageRank|NormalizedDistribution}"
 
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -1,6 +1,7 @@
 #include "flow/assembler.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
@@ -71,6 +72,35 @@ std::size_t FlowAssembler::add(const DecodedPacket& packet) {
   return add(packet, next_seq_++);
 }
 
+FlowAssembler::Flow FlowAssembler::fresh_flow(
+    const Key& key, const DecodedPacket& packet, std::uint64_t seq) noexcept {
+  Flow flow;
+  flow.key = key;
+  flow.record.src_ip = packet.src_ip;
+  flow.record.dst_ip = packet.dst_ip;
+  flow.record.protocol = protocol_from_number(packet.protocol);
+  flow.record.src_port = packet.src_port;
+  flow.record.dst_port = packet.dst_port;
+  flow.record.first_us = packet.timestamp_us;
+  flow.record.last_us = packet.timestamp_us;
+  flow.first_seq = seq;
+  return flow;
+}
+
+void FlowAssembler::unlink(Flow& flow) noexcept {
+  (flow.older != nullptr ? flow.older->newer : oldest_) = flow.newer;
+  (flow.newer != nullptr ? flow.newer->older : newest_) = flow.older;
+  flow.older = nullptr;
+  flow.newer = nullptr;
+}
+
+void FlowAssembler::link_newest(Flow& flow) noexcept {
+  flow.older = newest_;
+  flow.newer = nullptr;
+  (newest_ != nullptr ? newest_->newer : oldest_) = &flow;
+  newest_ = &flow;
+}
+
 std::size_t FlowAssembler::add(const DecodedPacket& packet,
                                std::uint64_t seq) {
   // One stray GRE/ESP/etc. packet must not abort a whole ingest: drop it
@@ -92,42 +122,25 @@ std::size_t FlowAssembler::add(const DecodedPacket& packet,
   }
 
   const Key key = canonical_key(packet);
-  auto it = table_.find(key);
-  if (it == table_.end()) {
-    Flow flow;
-    flow.record.src_ip = packet.src_ip;
-    flow.record.dst_ip = packet.dst_ip;
-    flow.record.protocol = protocol_from_number(packet.protocol);
-    flow.record.src_port = packet.src_port;
-    flow.record.dst_port = packet.dst_port;
-    flow.record.first_us = packet.timestamp_us;
-    flow.record.last_us = packet.timestamp_us;
-    flow.first_seq = seq;
-    it = table_.emplace(key, std::move(flow)).first;
-  }
-
+  const auto [it, inserted] = table_.try_emplace(key);
   Flow& flow = it->second;
   NetflowRecord& rec = flow.record;
-
-  // Timeout cuts: finalize the flow and start a fresh one. The idle cut is
-  // decided here, per packet, not only by the periodic sweep — the sweep's
-  // timing depends on which other flows share the assembler, so a
-  // sweep-only cut would make sharded assembly diverge from serial.
-  if (packet.timestamp_us - rec.first_us > options_.active_timeout_us ||
-      packet.timestamp_us - rec.last_us > options_.idle_timeout_us) {
-    Flow fresh;
-    fresh.record.src_ip = packet.src_ip;
-    fresh.record.dst_ip = packet.dst_ip;
-    fresh.record.protocol = protocol_from_number(packet.protocol);
-    fresh.record.src_port = packet.src_port;
-    fresh.record.dst_port = packet.dst_port;
-    fresh.record.first_us = packet.timestamp_us;
-    fresh.record.last_us = packet.timestamp_us;
-    fresh.first_seq = seq;
-    finalize(std::move(flow));
-    it->second = std::move(fresh);
-    return add(packet, seq) + expired + 1;
+  if (inserted) {
+    flow = fresh_flow(key, packet, seq);
+  } else {
+    unlink(flow);
+    // Timeout cuts: finalize the flow and start a fresh one. The idle cut
+    // is decided here, per packet, not only by the periodic sweep — the
+    // sweep's timing depends on which other flows share the assembler, so
+    // a sweep-only cut would make sharded assembly diverge from serial.
+    if (packet.timestamp_us - rec.first_us > options_.active_timeout_us ||
+        packet.timestamp_us - rec.last_us > options_.idle_timeout_us) {
+      finalize(flow);
+      flow = fresh_flow(key, packet, seq);
+      ++expired;
+    }
   }
+  link_newest(flow);
 
   const bool from_originator =
       packet.src_ip == rec.src_ip && packet.src_port == rec.src_port;
@@ -161,15 +174,17 @@ std::size_t FlowAssembler::add(const DecodedPacket& packet,
 }
 
 void FlowAssembler::expire_older_than(std::uint64_t now_us) {
-  // csblint: unordered-iteration-ok — finish_sequenced() re-sorts done_ by
-  // the (first_us, first_seq) total order, so finalize order cannot escape
-  for (auto it = table_.begin(); it != table_.end();) {
-    if (now_us - it->second.record.last_us > options_.idle_timeout_us) {
-      finalize(std::move(it->second));
-      it = table_.erase(it);
-    } else {
-      ++it;
-    }
+  // Packets arrive in timestamp order, so the idle list is ordered by
+  // last_us and the idle flows are exactly a prefix of it. (Were a
+  // timestamp to step back, an idle flow could wait for a later sweep; its
+  // record would not change, as add() makes the idle cut per packet.)
+  while (oldest_ != nullptr &&
+         now_us - oldest_->record.last_us > options_.idle_timeout_us) {
+    Flow& flow = *oldest_;
+    const Key key = flow.key;
+    unlink(flow);
+    finalize(flow);
+    table_.erase(key);
   }
 }
 
@@ -188,20 +203,22 @@ ConnState FlowAssembler::classify_tcp(const Flow& flow) noexcept {
   return ConnState::kOth;  // mid-stream: no handshake observed
 }
 
-void FlowAssembler::finalize(Flow flow) {
+void FlowAssembler::finalize(Flow& flow) {
   if (flow.record.protocol == Protocol::kTcp) {
     flow.record.state = classify_tcp(flow);
   } else {
     flow.record.state = ConnState::kNone;
   }
-  done_.push_back(Completed{flow.first_seq, std::move(flow.record)});
+  done_.push_back(Completed{flow.first_seq, flow.record});
 }
 
 std::vector<FlowAssembler::Completed> FlowAssembler::finish_sequenced() {
   // csblint: unordered-iteration-ok — the sort below imposes the
   // (first_us, first_seq) total order, so finalize order cannot escape
-  for (auto& [key, flow] : table_) finalize(std::move(flow));
+  for (auto& [key, flow] : table_) finalize(flow);
   table_.clear();
+  oldest_ = nullptr;
+  newest_ = nullptr;
   // (first_us, first_seq) is a total order over flows — first_seq values
   // are distinct — so the result is a deterministic sequence, not just a
   // deterministic multiset.
@@ -249,56 +266,66 @@ std::vector<NetflowRecord> assemble_flows_parallel(
     return assemble_flows(packets, options);
   }
 
-  // Route each packet — tagged with its global index — to its flow's
-  // shard; per-shard order preserves the global timestamp order, which the
-  // assembler requires, and the tags let the merge reproduce the serial
-  // (first_us, first_seq) sequence exactly.
-  struct Routed {
-    DecodedPacket packet;
-    std::uint64_t seq;
-  };
-  std::vector<std::vector<Routed>> buckets(shards);
-  for (auto& bucket : buckets) {
-    bucket.reserve(packets.size() / shards + 16);
-  }
-  for (std::size_t i = 0; i < packets.size(); ++i) {
-    buckets[FlowAssembler::shard_hash(packets[i]) % shards].push_back(
-        Routed{packets[i], i});
-  }
+  // One shard id per packet, computed on the pool. Each shard task then
+  // walks `packets` in place and feeds its own packets, tagged with their
+  // global indices, in capture order: the per-shard order preserves the
+  // timestamp order the assembler requires, and the tags let the merge
+  // reproduce the serial (first_us, first_seq) sequence exactly.
+  std::vector<std::uint32_t> shard_of(packets.size());
+  parallel_for_fixed_chunks(
+      &pool, 0, packets.size(), std::size_t{1} << 16,
+      [&](const ChunkRange& chunk) {
+        for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
+          shard_of[i] = static_cast<std::uint32_t>(
+              FlowAssembler::shard_hash(packets[i]) % shards);
+        }
+      });
 
   std::vector<std::vector<FlowAssembler::Completed>> per_shard(shards);
   std::vector<std::function<void()>> tasks;
   tasks.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s) {
-    tasks.emplace_back([&buckets, &per_shard, options, s] {
+    tasks.emplace_back([&packets, &shard_of, &per_shard, options, s] {
       FlowAssembler assembler(options);
-      for (const Routed& routed : buckets[s]) {
-        assembler.add(routed.packet, routed.seq);
+      for (std::size_t i = 0; i < packets.size(); ++i) {
+        if (shard_of[i] == s) assembler.add(packets[i], i);
       }
       per_shard[s] = assembler.finish_sequenced();
     });
   }
   parallel_tasks(&pool, tasks);
 
-  std::vector<FlowAssembler::Completed> merged;
+  // k-way merge of the sorted runs. first_seq values are distinct across
+  // shards, so (first_us, first_seq) is a total order and the heap's pop
+  // sequence is unique.
+  using Cursor = std::pair<std::size_t, std::size_t>;  // (shard, next record)
+  const auto later = [&per_shard](const Cursor& a, const Cursor& b) {
+    const FlowAssembler::Completed& x = per_shard[a.first][a.second];
+    const FlowAssembler::Completed& y = per_shard[b.first][b.second];
+    if (x.record.first_us != y.record.first_us) {
+      return x.record.first_us > y.record.first_us;
+    }
+    return x.first_seq > y.first_seq;
+  };
+  std::vector<Cursor> heads;
   std::size_t total = 0;
-  for (const auto& records : per_shard) total += records.size();
-  merged.reserve(total);
-  for (auto& records : per_shard) {
-    merged.insert(merged.end(), std::make_move_iterator(records.begin()),
-                  std::make_move_iterator(records.end()));
+  for (std::size_t s = 0; s < shards; ++s) {
+    total += per_shard[s].size();
+    if (!per_shard[s].empty()) heads.emplace_back(s, 0);
   }
-  std::sort(merged.begin(), merged.end(),
-            [](const FlowAssembler::Completed& a,
-               const FlowAssembler::Completed& b) {
-              if (a.record.first_us != b.record.first_us) {
-                return a.record.first_us < b.record.first_us;
-              }
-              return a.first_seq < b.first_seq;
-            });
+  std::make_heap(heads.begin(), heads.end(), later);
   std::vector<NetflowRecord> out;
-  out.reserve(merged.size());
-  for (auto& done : merged) out.push_back(std::move(done.record));
+  out.reserve(total);
+  while (!heads.empty()) {
+    std::pop_heap(heads.begin(), heads.end(), later);
+    auto& [s, at] = heads.back();
+    out.push_back(per_shard[s][at].record);
+    if (++at < per_shard[s].size()) {
+      std::push_heap(heads.begin(), heads.end(), later);
+    } else {
+      heads.pop_back();
+    }
+  }
   return out;
 }
 

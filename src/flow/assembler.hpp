@@ -3,8 +3,13 @@
 // This replaces Bro in the paper's Fig. 1 pipeline. Packets are keyed by
 // the canonical 5-tuple; the first packet of a flow fixes the originator
 // direction. A small TCP state machine assigns the Bro-style connection
-// state (S0/S1/SF/REJ/RSTO/RSTR/OTH). Flows expire on an idle timeout or
-// when flush() is called at end of capture.
+// state (S0/S1/SF/REJ/RSTO/RSTR/OTH). Flows expire on an idle timeout, are
+// cut on the active timeout, or are finalized by finish() at end of capture.
+//
+// Open flows sit on an intrusive list in the order they were last touched.
+// Packets arrive in timestamp order, so that list is also ordered by each
+// flow's last_us, and the once-per-capture-second expiry sweep pops idle
+// flows off its head instead of walking the whole table.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +40,9 @@ class FlowAssembler {
   };
 
   explicit FlowAssembler(FlowAssemblerOptions options = {});
+  // The idle list points into the table's nodes.
+  FlowAssembler(const FlowAssembler&) = delete;
+  FlowAssembler& operator=(const FlowAssembler&) = delete;
 
   /// Feeds one packet; packets must arrive in non-decreasing timestamp
   /// order (as in a capture file). Returns the number of flows finalized by
@@ -82,8 +90,12 @@ class FlowAssembler {
   };
 
   struct Flow {
+    Key key{};
     NetflowRecord record;
     std::uint64_t first_seq = 0;
+    // Idle list neighbours: `older` was touched before this flow.
+    Flow* older = nullptr;
+    Flow* newer = nullptr;
     // TCP handshake/termination tracking.
     bool syn_from_orig = false;
     bool synack_from_resp = false;
@@ -94,12 +106,19 @@ class FlowAssembler {
   };
 
   static Key canonical_key(const DecodedPacket& packet) noexcept;
+  /// A new, unlinked flow opened by `packet`.
+  static Flow fresh_flow(const Key& key, const DecodedPacket& packet,
+                         std::uint64_t seq) noexcept;
+  void unlink(Flow& flow) noexcept;
+  void link_newest(Flow& flow) noexcept;
   void expire_older_than(std::uint64_t now_us);
-  void finalize(Flow flow);
+  void finalize(Flow& flow);
   static ConnState classify_tcp(const Flow& flow) noexcept;
 
   FlowAssemblerOptions options_;
   std::unordered_map<Key, Flow, KeyHash> table_;
+  Flow* oldest_ = nullptr;  ///< idle list head: least recently touched
+  Flow* newest_ = nullptr;
   std::vector<Completed> done_;
   std::uint64_t last_expiry_check_us_ = 0;
   std::uint64_t next_seq_ = 0;
@@ -111,10 +130,11 @@ std::vector<NetflowRecord> assemble_flows(
     const std::vector<DecodedPacket>& packets,
     FlowAssemblerOptions options = {});
 
-/// Sharded parallel assembly: packets are routed to `shards` independent
-/// assemblers by the hash of their canonical 5-tuple (all packets of one
-/// flow land in the same shard, so per-flow state never crosses threads),
-/// each shard runs on the pool, and the results merge by
+/// Sharded parallel assembly: each packet's shard is the hash of its
+/// canonical 5-tuple modulo `shards` (all packets of one flow land in the
+/// same shard, so per-flow state never crosses threads). Each shard runs on
+/// the pool, walking `packets` in place and feeding its own packets with
+/// their global indices, and the sorted per-shard runs are k-way merged by
 /// (first_us, first_seq) — the same total order serial finish() uses, so
 /// the output sequence is identical to assemble_flows for any shard count.
 std::vector<NetflowRecord> assemble_flows_parallel(

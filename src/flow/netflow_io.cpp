@@ -1,5 +1,6 @@
 #include "flow/netflow_io.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -17,28 +18,25 @@ std::string ip_to_string(std::uint32_t ip) {
 }
 
 std::uint32_t ip_from_string(const std::string& text) {
-  std::uint32_t parts[4];
-  std::size_t at = 0;
+  const auto malformed = [&text] {
+    return CsbError("malformed IPv4 address: '" + text + "'");
+  };
+  std::uint32_t ip = 0;
+  const char* at = text.data();
+  const char* const end = text.data() + text.size();
   for (int i = 0; i < 4; ++i) {
-    std::size_t consumed = 0;
-    CSB_CHECK_MSG(at < text.size(), "malformed IPv4 address: " << text);
-    unsigned long value = 0;
-    try {
-      value = std::stoul(text.substr(at), &consumed, 10);
-    } catch (const std::exception&) {
-      throw CsbError("malformed IPv4 address: " + text);
-    }
-    CSB_CHECK_MSG(value <= 255, "malformed IPv4 address: " << text);
-    parts[i] = static_cast<std::uint32_t>(value);
-    at += consumed;
-    if (i < 3) {
-      CSB_CHECK_MSG(at < text.size() && text[at] == '.',
-                    "malformed IPv4 address: " << text);
+    if (i > 0) {
+      if (at == end || *at != '.') throw malformed();
       ++at;
     }
+    unsigned value = 0;
+    const auto [ptr, ec] = std::from_chars(at, end, value);
+    if (ec != std::errc() || value > 255) throw malformed();
+    ip = (ip << 8) | value;
+    at = ptr;
   }
-  CSB_CHECK_MSG(at == text.size(), "malformed IPv4 address: " << text);
-  return (parts[0] << 24) | (parts[1] << 16) | (parts[2] << 8) | parts[3];
+  if (at != end) throw malformed();
+  return ip;
 }
 
 namespace {
@@ -62,6 +60,61 @@ ConnState state_from_name(const std::string& s) {
   throw CsbError("unknown conn state: " + s);
 }
 
+/// A decimal field in [0, max]; throws CsbError naming the column.
+std::uint64_t parse_uint(const std::string& text, const char* column,
+                         std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc::invalid_argument || ptr != end) {
+    throw CsbError(std::string(column) + ": not a number: '" + text + "'");
+  }
+  if (ec == std::errc::result_out_of_range || value > max) {
+    throw CsbError(std::string(column) + ": " + text + " out of range (max " +
+                   std::to_string(max) + ")");
+  }
+  return value;
+}
+
+constexpr std::uint64_t kMax16 = 0xffff;
+constexpr std::uint64_t kMax32 = 0xffffffff;
+constexpr std::uint64_t kMax64 = ~std::uint64_t{0};
+
+/// One data row; throws CsbError saying which field is bad.
+NetflowRecord parse_row(const std::string& line) {
+  std::vector<std::string> fields;
+  std::stringstream ss(line);
+  std::string field;
+  while (std::getline(ss, field, ',')) fields.push_back(field);
+  if (fields.size() != 14) {
+    throw CsbError("expected 14 fields, found " +
+                   std::to_string(fields.size()));
+  }
+  NetflowRecord r;
+  r.src_ip = ip_from_string(fields[0]);
+  r.dst_ip = ip_from_string(fields[1]);
+  r.protocol = protocol_from_name(fields[2]);
+  r.src_port =
+      static_cast<std::uint16_t>(parse_uint(fields[3], "src_port", kMax16));
+  r.dst_port =
+      static_cast<std::uint16_t>(parse_uint(fields[4], "dst_port", kMax16));
+  r.first_us = parse_uint(fields[5], "first_us", kMax64);
+  r.last_us = parse_uint(fields[6], "last_us", kMax64);
+  if (r.last_us < r.first_us) throw CsbError("last_us before first_us");
+  r.out_bytes = parse_uint(fields[7], "out_bytes", kMax64);
+  r.in_bytes = parse_uint(fields[8], "in_bytes", kMax64);
+  r.out_pkts =
+      static_cast<std::uint32_t>(parse_uint(fields[9], "out_pkts", kMax32));
+  r.in_pkts =
+      static_cast<std::uint32_t>(parse_uint(fields[10], "in_pkts", kMax32));
+  r.syn_count =
+      static_cast<std::uint32_t>(parse_uint(fields[11], "syn_count", kMax32));
+  r.ack_count =
+      static_cast<std::uint32_t>(parse_uint(fields[12], "ack_count", kMax32));
+  r.state = state_from_name(fields[13]);
+  return r;
+}
+
 }  // namespace
 
 void save_netflow_csv(const std::vector<NetflowRecord>& records,
@@ -79,36 +132,25 @@ void save_netflow_csv(const std::vector<NetflowRecord>& records,
   CSB_CHECK_MSG(out.good(), "failed writing netflow CSV");
 }
 
-std::vector<NetflowRecord> load_netflow_csv(std::istream& in) {
+std::vector<NetflowRecord> load_netflow_csv(std::istream& in,
+                                            const std::string& name) {
+  const auto bad = [&name](std::size_t line_number, const std::string& why) {
+    return CsbError("bad netflow CSV " + name + ": line " +
+                    std::to_string(line_number) + ": " + why);
+  };
   std::string line;
-  CSB_CHECK_MSG(static_cast<bool>(std::getline(in, line)),
-                "empty netflow CSV");
-  CSB_CHECK_MSG(line.rfind("src_ip,", 0) == 0, "missing netflow CSV header");
+  if (!std::getline(in, line)) throw bad(1, "empty file, no header");
+  if (line.rfind("src_ip,", 0) != 0) {
+    throw bad(1, "missing header (a line starting 'src_ip,')");
+  }
   std::vector<NetflowRecord> records;
-  std::vector<std::string> fields;
-  while (std::getline(in, line)) {
+  for (std::size_t line_number = 2; std::getline(in, line); ++line_number) {
     if (line.empty()) continue;
-    fields.clear();
-    std::stringstream ss(line);
-    std::string field;
-    while (std::getline(ss, field, ',')) fields.push_back(field);
-    CSB_CHECK_MSG(fields.size() == 14, "bad netflow CSV row: " << line);
-    NetflowRecord r;
-    r.src_ip = ip_from_string(fields[0]);
-    r.dst_ip = ip_from_string(fields[1]);
-    r.protocol = protocol_from_name(fields[2]);
-    r.src_port = static_cast<std::uint16_t>(std::stoul(fields[3]));
-    r.dst_port = static_cast<std::uint16_t>(std::stoul(fields[4]));
-    r.first_us = std::stoull(fields[5]);
-    r.last_us = std::stoull(fields[6]);
-    r.out_bytes = std::stoull(fields[7]);
-    r.in_bytes = std::stoull(fields[8]);
-    r.out_pkts = static_cast<std::uint32_t>(std::stoul(fields[9]));
-    r.in_pkts = static_cast<std::uint32_t>(std::stoul(fields[10]));
-    r.syn_count = static_cast<std::uint32_t>(std::stoul(fields[11]));
-    r.ack_count = static_cast<std::uint32_t>(std::stoul(fields[12]));
-    r.state = state_from_name(fields[13]);
-    records.push_back(r);
+    try {
+      records.push_back(parse_row(line));
+    } catch (const CsbError& error) {
+      throw bad(line_number, error.what());
+    }
   }
   return records;
 }
@@ -116,14 +158,14 @@ std::vector<NetflowRecord> load_netflow_csv(std::istream& in) {
 void save_netflow_csv_file(const std::vector<NetflowRecord>& records,
                            const std::string& path) {
   std::ofstream out(path);
-  CSB_CHECK_MSG(out.is_open(), "cannot open for writing: " << path);
+  if (!out.is_open()) throw CsbError("cannot open for writing: " + path);
   save_netflow_csv(records, out);
 }
 
 std::vector<NetflowRecord> load_netflow_csv_file(const std::string& path) {
   std::ifstream in(path);
-  CSB_CHECK_MSG(in.is_open(), "cannot open for reading: " << path);
-  return load_netflow_csv(in);
+  if (!in.is_open()) throw CsbError("cannot open for reading: " + path);
+  return load_netflow_csv(in, path);
 }
 
 }  // namespace csb

@@ -12,7 +12,10 @@ namespace csb {
 
 void save_netflow_csv(const std::vector<NetflowRecord>& records,
                       std::ostream& out);
-std::vector<NetflowRecord> load_netflow_csv(std::istream& in);
+/// Malformed input throws CsbError("bad netflow CSV <name>: line <n>:
+/// <reason>"); every integer field is range-checked against its type.
+std::vector<NetflowRecord> load_netflow_csv(std::istream& in,
+                                            const std::string& name = "stream");
 
 void save_netflow_csv_file(const std::vector<NetflowRecord>& records,
                            const std::string& path);

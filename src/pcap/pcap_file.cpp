@@ -1,11 +1,19 @@
 #include "pcap/pcap_file.hpp"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <ostream>
+#include <system_error>
+#include <utility>
 
 #include "util/error.hpp"
+#include "util/scoped_fd.hpp"
 
 namespace csb {
 
@@ -52,10 +60,51 @@ std::uint16_t load16(const std::uint8_t* p, bool swapped) noexcept {
                  ": " + reason);
 }
 
+/// A failed system call on `path`, with the errno text. Takes no argument
+/// that needs constructing, so nothing runs between the call and the read
+/// of errno.
+[[noreturn]] void io_failure(const char* what, const std::string& path) {
+  const std::string reason =
+      std::error_code(errno, std::generic_category()).message();
+  throw CsbError(std::string(what) + " " + path + ": " + reason);
+}
+
 }  // namespace
 
-PcapWriter::PcapWriter(std::ostream& out, std::uint32_t snaplen)
-    : out_(out), snaplen_(snaplen) {
+FileMapping::FileMapping(int fd, std::size_t size, const std::string& path) {
+  void* base = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
+  if (base == MAP_FAILED) io_failure("cannot map pcap file", path);
+  base_ = base;
+  size_ = size;
+  // The index walk and the decode read the file front to back; tell the
+  // pager so readahead covers the scan (advice only: failure is harmless).
+#if defined(POSIX_MADV_SEQUENTIAL)
+  (void)::posix_madvise(base_, size_, POSIX_MADV_SEQUENTIAL);
+#endif
+}
+
+FileMapping::FileMapping(FileMapping&& other) noexcept
+    : base_(std::exchange(other.base_, nullptr)),
+      size_(std::exchange(other.size_, 0)) {}
+
+FileMapping& FileMapping::operator=(FileMapping&& other) noexcept {
+  if (this != &other) {
+    FileMapping old(std::move(*this));
+    base_ = std::exchange(other.base_, nullptr);
+    size_ = std::exchange(other.size_, 0);
+  }
+  return *this;
+}
+
+FileMapping::~FileMapping() {
+  // munmap of a mapping this object created can only fail on a corrupted
+  // handle; there is nothing left to release either way.
+  if (base_ != nullptr) (void)::munmap(base_, size_);
+}
+
+PcapWriter::PcapWriter(std::ostream& out, std::uint32_t snaplen,
+                       std::string name)
+    : out_(out), snaplen_(snaplen), name_(std::move(name)) {
   CSB_CHECK_MSG(snaplen_ > 0, "pcap snaplen must be positive");
   put(out_, kMagicUsec);
   put(out_, kVersionMajor);
@@ -64,7 +113,9 @@ PcapWriter::PcapWriter(std::ostream& out, std::uint32_t snaplen)
   put(out_, std::uint32_t{0});  // sigfigs
   put(out_, snaplen_);
   put(out_, kLinktypeEthernet);
-  CSB_CHECK_MSG(out_.good(), "failed writing pcap global header");
+  if (!out_.good()) {
+    throw CsbError("cannot write pcap " + name_ + ": global header");
+  }
 }
 
 void PcapWriter::write(std::uint64_t timestamp_us,
@@ -84,35 +135,43 @@ void PcapWriter::write(const PcapPacket& packet) {
   put(out_, incl_len);
   put(out_, packet.orig_len);
   out_.write(reinterpret_cast<const char*>(packet.data.data()), incl_len);
-  CSB_CHECK_MSG(out_.good(), "failed writing pcap record");
+  if (!out_.good()) {
+    throw CsbError("cannot write pcap " + name_ + ": record " +
+                   std::to_string(packets_));
+  }
   ++packets_;
 }
 
 void write_pcap_file(const std::string& path,
                      const std::vector<PcapPacket>& packets) {
   std::ofstream out(path, std::ios::binary);
-  CSB_CHECK_MSG(out.is_open(), "cannot open for writing: " << path);
-  PcapWriter writer(out);
+  if (!out.is_open()) {
+    throw CsbError("cannot write pcap " + path + ": cannot open for writing");
+  }
+  PcapWriter writer(out, 65535, path);
   for (const auto& packet : packets) writer.write(packet);
+  out.close();
+  if (!out) throw CsbError("cannot write pcap " + path + ": close failed");
 }
 
 IndexedPcap index_pcap_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in.is_open()) throw CsbError("cannot open for reading: " + path);
-  const std::streamoff end = in.tellg();
-  if (end < 0) throw CsbError("cannot read pcap file: " + path);
-  const auto file_size = static_cast<std::uint64_t>(end);
+  const ScopedFd file(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+  if (file.fd < 0) io_failure("cannot open for reading:", path);
+  struct stat info {};
+  if (::fstat(file.fd, &info) != 0) io_failure("cannot stat pcap file", path);
+  if (!S_ISREG(info.st_mode)) {
+    throw CsbError("cannot map pcap file " + path + ": not a regular file");
+  }
+  const auto file_size = static_cast<std::uint64_t>(info.st_size);
   if (file_size < 24) {
     bad_pcap(path, 0, "truncated global header (" +
                           std::to_string(file_size) + " of 24 bytes)");
   }
 
   IndexedPcap capture;
-  capture.data.resize(file_size);
-  in.seekg(0, std::ios::beg);
-  in.read(reinterpret_cast<char*>(capture.data.data()),
-          static_cast<std::streamsize>(file_size));
-  if (!in.good()) throw CsbError("failed reading pcap file: " + path);
+  capture.mapping =
+      FileMapping(file.fd, static_cast<std::size_t>(file_size), path);
+  capture.data = capture.mapping.bytes();
 
   bool swapped = false;
   bool nanoseconds = false;

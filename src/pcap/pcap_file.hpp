@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,8 +32,10 @@ inline constexpr std::uint32_t kLinktypeEthernet = 1;
 
 class PcapWriter {
  public:
-  /// Writes the global header immediately.
-  PcapWriter(std::ostream& out, std::uint32_t snaplen = 65535);
+  /// Writes the global header immediately. A failed write throws CsbError
+  /// naming `name` (the output path, where there is one).
+  PcapWriter(std::ostream& out, std::uint32_t snaplen = 65535,
+             std::string name = "stream");
 
   /// Appends one record; `data` is truncated to the snap length.
   void write(std::uint64_t timestamp_us,
@@ -46,6 +49,7 @@ class PcapWriter {
  private:
   std::ostream& out_;
   std::uint32_t snaplen_;
+  std::string name_;
   std::uint64_t packets_ = 0;
 };
 
@@ -58,12 +62,37 @@ struct PcapRecordRef {
   std::uint64_t offset = 0;
 };
 
-/// A capture loaded in one sequential pass: the raw file bytes plus a
+/// A read-only, private mapping of a whole file. Move-only; the mapping is
+/// released on destruction or when another mapping is moved over it.
+class FileMapping {
+ public:
+  FileMapping() = default;
+  /// Maps `size` bytes of the open descriptor `fd` (`size` > 0); throws
+  /// CsbError naming `path` when the map fails.
+  FileMapping(int fd, std::size_t size, const std::string& path);
+  FileMapping(FileMapping&& other) noexcept;
+  FileMapping& operator=(FileMapping&& other) noexcept;
+  FileMapping(const FileMapping&) = delete;
+  FileMapping& operator=(const FileMapping&) = delete;
+  ~FileMapping();
+
+  [[nodiscard]] std::span<const std::uint8_t> bytes() const noexcept {
+    return {static_cast<const std::uint8_t*>(base_), size_};
+  }
+
+ private:
+  void* base_ = nullptr;
+  std::size_t size_ = 0;
+};
+
+/// A capture indexed in one sequential pass: the mapped file bytes plus a
 /// per-record index. Reading a record through the index touches only its
 /// own bytes, so the seed pipeline decodes fixed record chunks in parallel
-/// straight out of `data`.
+/// straight out of `data`. Assigning a default-constructed IndexedPcap
+/// unmaps the file.
 struct IndexedPcap {
-  std::vector<std::uint8_t> data;
+  FileMapping mapping;
+  std::span<const std::uint8_t> data;  ///< the whole file, in `mapping`
   std::vector<PcapRecordRef> records;
   std::uint32_t snaplen = 0;
   std::uint32_t linktype = 0;
@@ -74,12 +103,15 @@ struct IndexedPcap {
   }
 };
 
-/// The library's one pcap parser. Reads the whole file into one buffer and
-/// builds the record index without materializing any per-packet buffers.
-/// Malformed input throws CsbError("bad pcap <path>: byte <offset>:
-/// <reason>"), the offset pointing at the field that failed.
+/// The library's one pcap parser. Maps the whole file read-only and builds
+/// the record index without copying any bytes or materializing per-packet
+/// buffers. Malformed input throws CsbError("bad pcap <path>: byte
+/// <offset>: <reason>"), the offset pointing at the field that failed; a
+/// file that cannot be opened or mapped (a pipe, say) throws a CsbError
+/// naming it. The file must not shrink while the capture is alive.
 IndexedPcap index_pcap_file(const std::string& path);
 
+/// Throws CsbError naming `path` when it cannot be created or written.
 void write_pcap_file(const std::string& path,
                      const std::vector<PcapPacket>& packets);
 

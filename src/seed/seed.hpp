@@ -155,7 +155,7 @@ struct SeedBundle {
 std::vector<DecodedPacket> decode_packets(
     const std::vector<PcapPacket>& packets, ThreadPool* pool = nullptr);
 
-/// Same, decoding straight out of an indexed capture's file buffer — no
+/// Same, decoding straight out of an indexed capture's mapped file — no
 /// per-packet PcapPacket materialization at all.
 std::vector<DecodedPacket> decode_packets(const IndexedPcap& capture,
                                           ThreadPool* pool = nullptr);
@@ -165,10 +165,9 @@ SeedBundle build_seed_from_packets(const std::vector<PcapPacket>& packets,
                                    const SeedOptions& options = {});
 
 /// Fig. 1's PCAP -> NetFlow half for a capture on disk: index_pcap_file
-/// (`seed:index` phase), decode straight out of the file buffer
+/// (`seed:index` phase), decode straight out of the mapped file
 /// (`seed:decode`), then flow assembly (`seed:assemble-flows`), sharded
-/// over `pool` when one is given. The file is read into one buffer, which
-/// is freed once decoded.
+/// over `pool` when one is given. The file is unmapped once decoded.
 std::vector<NetflowRecord> flows_from_pcap_file(const std::string& path,
                                                 ThreadPool* pool = nullptr);
 

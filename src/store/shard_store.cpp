@@ -19,6 +19,7 @@
 #include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
+#include "util/scoped_fd.hpp"
 #include "util/thread_pool.hpp"
 
 namespace csb {
@@ -123,28 +124,6 @@ void advise_sequential_read(int fd) {
   (void)fd;
 #endif
 }
-
-/// Closes a file descriptor on scope exit (the finish/verify passes open
-/// fds inside pool tasks, where an early throw must not leak them).
-struct ScopedFd {
-  int fd = -1;
-  ScopedFd() = default;
-  explicit ScopedFd(int f) : fd(f) {}
-  ScopedFd(const ScopedFd&) = delete;
-  ScopedFd& operator=(const ScopedFd&) = delete;
-  ScopedFd(ScopedFd&& other) noexcept : fd(other.fd) { other.fd = -1; }
-  ScopedFd& operator=(ScopedFd&& other) noexcept {
-    if (this != &other) {
-      if (fd >= 0) ::close(fd);
-      fd = other.fd;
-      other.fd = -1;
-    }
-    return *this;
-  }
-  ~ScopedFd() {
-    if (fd >= 0) ::close(fd);
-  }
-};
 
 /// Appends to a sequentially-written file (partition streams).
 void write_all(int fd, const void* data, std::size_t bytes,

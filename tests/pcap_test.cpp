@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -401,6 +402,78 @@ TEST(PcapFileTest, FileRoundTrip) {
   const IndexedPcap loaded = index_pcap_file(path);
   ASSERT_EQ(loaded.records.size(), 3u);
   EXPECT_EQ(packet_at(loaded, 2).data, packets[2].data);
+}
+
+TEST(PcapFileTest, WriteToMissingDirectoryNamesPath) {
+  const std::string path =
+      ::testing::TempDir() + "/csb_no_such_directory/capture.pcap";
+  try {
+    write_pcap_file(path, mixed_packets(2));
+    FAIL() << "wrote into a missing directory";
+  } catch (const CsbError& error) {
+    const std::string message = error.what();
+    EXPECT_EQ(message.rfind("cannot write pcap " + path + ": ", 0), 0u)
+        << message;
+    EXPECT_EQ(message.find("CSB_CHECK"), std::string::npos) << message;
+  }
+}
+
+TEST(PcapFileTest, ShortFilesAreTruncatedGlobalHeader) {
+  const std::string native = serialize(mixed_packets(1));
+  for (const std::size_t length : {0, 23}) {
+    const std::string path = write_capture(
+        "short_" + std::to_string(length), native.substr(0, length));
+    const std::string message = index_error(path);
+    EXPECT_EQ(message.rfind("bad pcap " + path +
+                                ": byte 0: truncated global header",
+                            0),
+              0u)
+        << message;
+  }
+}
+
+TEST(PcapFileTest, RejectsNonRegularFileNamingIt) {
+  const std::string path = ::testing::TempDir();
+  const std::string message = index_error(path);
+  EXPECT_NE(message.find(path), std::string::npos) << message;
+  EXPECT_EQ(message.find("CSB_CHECK"), std::string::npos) << message;
+}
+
+/// Lines of this process's memory map that name the file at `path`.
+std::size_t mappings_of(const std::string& file) {
+  // The map names files by their canonical path.
+  const std::string path = std::filesystem::canonical(file).string();
+  std::ifstream maps("/proc/self/maps");
+  EXPECT_TRUE(maps.is_open());
+  std::size_t count = 0;
+  std::string line;
+  while (std::getline(maps, line)) {
+    if (line.size() >= path.size() &&
+        line.compare(line.size() - path.size(), path.size(), path) == 0) {
+      ++count;
+    }
+  }
+  return count;
+}
+
+// The capture's bytes are a mapping of the file, owned by the IndexedPcap:
+// moving the capture keeps them readable, and assigning an empty capture
+// unmaps the file.
+TEST(PcapFileTest, ResetCaptureUnmapsFile) {
+  const std::vector<PcapPacket> packets = mixed_packets(5);
+  const std::string path = write_capture("unmap", serialize(packets));
+  IndexedPcap capture = index_pcap_file(path);
+  EXPECT_GE(mappings_of(path), 1u);
+
+  IndexedPcap moved = std::move(capture);
+  ASSERT_EQ(moved.records.size(), packets.size());
+  EXPECT_EQ(packet_at(moved, 4), packets[4]);
+  EXPECT_GE(mappings_of(path), 1u);
+
+  moved = IndexedPcap();
+  EXPECT_TRUE(moved.data.empty());
+  EXPECT_TRUE(moved.records.empty());
+  EXPECT_EQ(mappings_of(path), 0u);
 }
 
 // Input sweep: a small valid capture in µs/native, µs/swapped and ns/native
