@@ -24,6 +24,13 @@ Protocol protocol_from_number(std::uint8_t number) noexcept {
   }
 }
 
+/// Time from `earlier` to `later`, 0 when `later` precedes it: a packet
+/// stamped before its flow's last (or first) packet, as reordered captures
+/// have, is no gap at all rather than a wrapped unsigned one.
+std::uint64_t elapsed_us(std::uint64_t later, std::uint64_t earlier) noexcept {
+  return later > earlier ? later - earlier : 0;
+}
+
 Counter& skipped_packets_counter() {
   static Counter& counter =
       MetricsRegistry::instance().counter("seed.skipped_packets");
@@ -133,8 +140,10 @@ std::size_t FlowAssembler::add(const DecodedPacket& packet,
     // is decided here, per packet, not only by the periodic sweep — the
     // sweep's timing depends on which other flows share the assembler, so
     // a sweep-only cut would make sharded assembly diverge from serial.
-    if (packet.timestamp_us - rec.first_us > options_.active_timeout_us ||
-        packet.timestamp_us - rec.last_us > options_.idle_timeout_us) {
+    if (elapsed_us(packet.timestamp_us, rec.first_us) >
+            options_.active_timeout_us ||
+        elapsed_us(packet.timestamp_us, rec.last_us) >
+            options_.idle_timeout_us) {
       finalize(flow);
       flow = fresh_flow(key, packet, seq);
       ++expired;
@@ -178,8 +187,8 @@ void FlowAssembler::expire_older_than(std::uint64_t now_us) {
   // last_us and the idle flows are exactly a prefix of it. (Were a
   // timestamp to step back, an idle flow could wait for a later sweep; its
   // record would not change, as add() makes the idle cut per packet.)
-  while (oldest_ != nullptr &&
-         now_us - oldest_->record.last_us > options_.idle_timeout_us) {
+  while (oldest_ != nullptr && elapsed_us(now_us, oldest_->record.last_us) >
+                                   options_.idle_timeout_us) {
     Flow& flow = *oldest_;
     const Key key = flow.key;
     unlink(flow);

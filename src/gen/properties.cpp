@@ -21,8 +21,8 @@ Rng property_chunk_rng(std::uint64_t seed, std::uint64_t chunk_index) {
 }
 
 void sample_property_chunk(const SeedProfile& profile, std::uint64_t seed,
-                           const ChunkRange& chunk, PropertyRowsBuffer& rows) {
-  rows = PropertyRowsBuffer{};
+                           const ChunkRange& chunk, PropertyColumns& rows) {
+  rows = PropertyColumns{};
   rows.reserve(chunk.end - chunk.begin);
   Rng rng = property_chunk_rng(seed, chunk.chunk_index);
   for (std::size_t e = chunk.begin; e < chunk.end; ++e) {

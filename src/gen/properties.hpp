@@ -31,6 +31,6 @@ Rng property_chunk_rng(std::uint64_t seed, std::uint64_t chunk_index);
 /// first). Pure function of (profile, seed, chunk) — the sampler behind the
 /// store:props stage (run_property_stage, gen/sink_stages.hpp).
 void sample_property_chunk(const SeedProfile& profile, std::uint64_t seed,
-                           const ChunkRange& chunk, PropertyRowsBuffer& rows);
+                           const ChunkRange& chunk, PropertyColumns& rows);
 
 }  // namespace csb

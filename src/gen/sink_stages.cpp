@@ -50,9 +50,9 @@ void run_property_stage(GraphStore& store, const SeedProfile& profile,
   tasks.reserve(chunks.size());
   for (const ChunkRange& chunk : chunks) {
     tasks.push_back([&store, &profile, prop_seed, chunk] {
-      PropertyRowsBuffer rows;
+      PropertyColumns rows;
       sample_property_chunk(profile, prop_seed, chunk, rows);
-      store.put_properties(chunk.begin, rows.view());
+      store.put_properties(chunk.begin, rows.view(0, rows.size()));
     });
   }
   static Counter& sampled =

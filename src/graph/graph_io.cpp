@@ -31,10 +31,10 @@ T read_pod(std::istream& in) {
   return value;
 }
 
-template <typename T>
-void write_column(std::ostream& out, std::span<const T> column) {
+template <typename Column>
+void write_column(std::ostream& out, const Column& column) {
   out.write(reinterpret_cast<const char*>(column.data()),
-            static_cast<std::streamsize>(column.size() * sizeof(T)));
+            static_cast<std::streamsize>(column.size() * sizeof(column[0])));
 }
 
 /// Fills every row of the pre-sized `column` straight from the stream.
@@ -86,17 +86,8 @@ void save_binary(const PropertyGraph& graph, std::ostream& out) {
   write_pod(out, has_props);
   write_column(out, graph.sources());
   write_column(out, graph.destinations());
-  if (has_props) {
-    write_column(out, graph.protocols());
-    write_column(out, graph.src_ports());
-    write_column(out, graph.dst_ports());
-    write_column(out, graph.durations_ms());
-    write_column(out, graph.out_bytes());
-    write_column(out, graph.in_bytes());
-    write_column(out, graph.out_pkts());
-    write_column(out, graph.in_pkts());
-    write_column(out, graph.states());
-  }
+  graph.properties().for_each_column(
+      [&out](const auto& column) { write_column(out, column); });
   CSB_CHECK_MSG(out.good(), "failed writing binary graph stream");
 }
 
@@ -122,15 +113,7 @@ PropertyGraph load_binary(std::istream& in) {
   PropertyColumns props;
   if (has_props) {
     props.resize_for_overwrite(edges);
-    read_column(in, props.protocol);
-    read_column(in, props.src_port);
-    read_column(in, props.dst_port);
-    read_column(in, props.duration_ms);
-    read_column(in, props.out_bytes);
-    read_column(in, props.in_bytes);
-    read_column(in, props.out_pkts);
-    read_column(in, props.in_pkts);
-    read_column(in, props.state);
+    props.for_each_column([&in](auto& column) { read_column(in, column); });
     // The enums' byte values, like the CSV reader's names, must be known.
     CSB_CHECK_MSG(std::all_of(props.protocol.begin(), props.protocol.end(),
                               known_protocol),

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/properties.hpp"
@@ -32,24 +33,112 @@ using EdgeId = std::uint64_t;
 template <typename T>
 using PropertyColumn = std::vector<T, DefaultInitAllocator<T>>;
 
-/// The nine NetFlow property columns of a graph (all the same length).
-struct PropertyColumns {
-  PropertyColumn<Protocol> protocol;
-  PropertyColumn<std::uint16_t> src_port;
-  PropertyColumn<std::uint16_t> dst_port;
-  PropertyColumn<std::uint32_t> duration_ms;
-  PropertyColumn<std::uint64_t> out_bytes;
-  PropertyColumn<std::uint64_t> in_bytes;
-  PropertyColumn<std::uint32_t> out_pkts;
-  PropertyColumn<std::uint32_t> in_pkts;
-  PropertyColumn<ConnState> state;
+/// The NetFlow column schema: the one list of the nine property columns,
+/// in the order every format lays them out (props-NNNN.bin, the binary
+/// graph dump). Calls fn(field, sets.<column>...) once per column, where
+/// `field` is the EdgeProperties member the column stores and each column
+/// set in `sets` (zero or more PropertyColumns / PropertyRowsView)
+/// contributes its column of that name. Every column walk is built on it.
+template <typename Fn, typename... Sets>
+constexpr void zip_netflow_columns(Fn&& fn, Sets&... sets) {
+  fn(&EdgeProperties::protocol, sets.protocol...);
+  fn(&EdgeProperties::src_port, sets.src_port...);
+  fn(&EdgeProperties::dst_port, sets.dst_port...);
+  fn(&EdgeProperties::duration_ms, sets.duration_ms...);
+  fn(&EdgeProperties::out_bytes, sets.out_bytes...);
+  fn(&EdgeProperties::in_bytes, sets.in_bytes...);
+  fn(&EdgeProperties::out_pkts, sets.out_pkts...);
+  fn(&EdgeProperties::in_pkts, sets.in_pkts...);
+  fn(&EdgeProperties::state, sets.state...);
+}
+
+/// The nine NetFlow columns (all the same length) over a column type:
+/// owning PropertyColumn (PropertyColumns) or a read-only span
+/// (PropertyRowsView).
+template <template <typename> class Column>
+struct NetflowColumns {
+  Column<Protocol> protocol;
+  Column<std::uint16_t> src_port;
+  Column<std::uint16_t> dst_port;
+  Column<std::uint32_t> duration_ms;
+  Column<std::uint64_t> out_bytes;
+  Column<std::uint64_t> in_bytes;
+  Column<std::uint32_t> out_pkts;
+  Column<std::uint32_t> in_pkts;
+  Column<ConnState> state;
+
+  [[nodiscard]] std::size_t size() const noexcept { return protocol.size(); }
+
+  /// Calls fn(column) for the nine columns in schema order.
+  template <typename Fn>
+  void for_each_column(Fn&& fn) {
+    zip_netflow_columns([&fn](auto, auto& column) { fn(column); }, *this);
+  }
+  template <typename Fn>
+  void for_each_column(Fn&& fn) const {
+    zip_netflow_columns([&fn](auto, auto& column) { fn(column); }, *this);
+  }
+
+  /// Gathers row `i`.
+  [[nodiscard]] EdgeProperties row(std::size_t i) const {
+    EdgeProperties props;
+    zip_netflow_columns(
+        [&](auto field, const auto& column) { props.*field = column[i]; },
+        *this);
+    return props;
+  }
+
+  friend bool operator==(const NetflowColumns&,
+                         const NetflowColumns&) = default;
+};
+
+template <typename T>
+using ColumnSpan = std::span<const T>;
+
+/// A window of property rows in column form, as the generators hand them
+/// to GraphStore::put_properties.
+using PropertyRowsView = NetflowColumns<ColumnSpan>;
+
+/// The owning property columns of a graph.
+struct PropertyColumns : NetflowColumns<PropertyColumn> {
+  /// Bytes of one row across the nine columns.
+  static constexpr std::uint64_t kRowBytes = [] {
+    std::uint64_t bytes = 0;
+    zip_netflow_columns([&bytes](auto field) {
+      bytes += sizeof(std::declval<EdgeProperties&>().*field);
+    });
+    return bytes;
+  }();
 
   /// Sizes every column to `rows`; rows past the old size are
   /// indeterminate until overwritten.
-  void resize_for_overwrite(std::size_t rows);
+  void resize_for_overwrite(std::size_t rows) {
+    for_each_column([rows](auto& column) { column.resize(rows); });
+  }
+  void reserve(std::size_t rows) {
+    for_each_column([rows](auto& column) { column.reserve(rows); });
+  }
+  void push_back(const EdgeProperties& props) {
+    zip_netflow_columns(
+        [&props](auto field, auto& column) { column.push_back(props.*field); },
+        *this);
+  }
+  void set_row(std::size_t i, const EdgeProperties& props) {
+    zip_netflow_columns(
+        [&](auto field, auto& column) { column[i] = props.*field; }, *this);
+  }
 
-  friend bool operator==(const PropertyColumns&,
-                         const PropertyColumns&) = default;
+  /// Rows [first, first + count).
+  [[nodiscard]] PropertyRowsView view(std::size_t first,
+                                      std::size_t count) const {
+    PropertyRowsView rows;
+    zip_netflow_columns(
+        [first, count](auto, auto& window, const auto& column) {
+          window = std::span(column).subspan(first, count);
+        },
+        rows, *this);
+    return rows;
+  }
 };
 
 class PropertyGraph {
@@ -119,32 +208,20 @@ class PropertyGraph {
   // --- properties ---
 
   [[nodiscard]] bool has_properties() const noexcept {
-    return !props_.protocol.empty();
+    return props_.size() != 0;
   }
 
   /// Gathers one edge's property row. Requires has_properties().
   [[nodiscard]] EdgeProperties edge_properties(EdgeId e) const;
 
-  /// Replaces one edge's property row. Requires has_properties().
-  void set_edge_properties(EdgeId e, const EdgeProperties& props);
-
-  /// Attaches property columns to a structure-only graph, filling every
-  /// existing edge with default rows. No-op when properties already exist.
-  void ensure_properties();
-
-  /// Attaches property columns WITHOUT initializing their contents (O(1)
-  /// per element instead of a full-column write): every row is
-  /// indeterminate until overwritten. Only for callers that immediately
-  /// fill all rows.
-  void ensure_properties_for_overwrite();
-
   /// Takes over filled property columns by move (O(1)); every column must
   /// have num_edges() rows.
   void attach_properties(PropertyColumns columns);
 
-  /// Drops all property columns, leaving the bare structure (used by PGSK's
-  /// multiset -> set collapse, paper Fig. 3 lines 1-5).
-  void drop_properties() noexcept;
+  /// The property columns (empty without has_properties()).
+  [[nodiscard]] const PropertyColumns& properties() const noexcept {
+    return props_;
+  }
 
   // Column access for analysis passes (valid only with has_properties()).
   [[nodiscard]] std::span<const Protocol> protocols() const noexcept {

@@ -1,7 +1,6 @@
 #include "pcap/pcap_file.hpp"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 
 #include <algorithm>
@@ -71,35 +70,9 @@ std::uint16_t load16(const std::uint8_t* p, bool swapped) noexcept {
 
 }  // namespace
 
-FileMapping::FileMapping(int fd, std::size_t size, const std::string& path) {
-  void* base = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-  if (base == MAP_FAILED) io_failure("cannot map pcap file", path);
-  base_ = base;
-  size_ = size;
-  // The index walk and the decode read the file front to back; tell the
-  // pager so readahead covers the scan (advice only: failure is harmless).
-#if defined(POSIX_MADV_SEQUENTIAL)
-  (void)::posix_madvise(base_, size_, POSIX_MADV_SEQUENTIAL);
-#endif
-}
-
-FileMapping::FileMapping(FileMapping&& other) noexcept
-    : base_(std::exchange(other.base_, nullptr)),
-      size_(std::exchange(other.size_, 0)) {}
-
-FileMapping& FileMapping::operator=(FileMapping&& other) noexcept {
-  if (this != &other) {
-    FileMapping old(std::move(*this));
-    base_ = std::exchange(other.base_, nullptr);
-    size_ = std::exchange(other.size_, 0);
-  }
-  return *this;
-}
-
-FileMapping::~FileMapping() {
-  // munmap of a mapping this object created can only fail on a corrupted
-  // handle; there is nothing left to release either way.
-  if (base_ != nullptr) (void)::munmap(base_, size_);
+bool is_pcap_magic(std::uint32_t magic) noexcept {
+  return magic == kMagicUsec || magic == kMagicNsec ||
+         magic == kMagicUsecSwapped || magic == kMagicNsecSwapped;
 }
 
 PcapWriter::PcapWriter(std::ostream& out, std::uint32_t snaplen,

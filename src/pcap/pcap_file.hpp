@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "util/file_mapping.hpp"
+
 namespace csb {
 
 /// One captured packet: capture timestamp plus the captured bytes. orig_len
@@ -62,29 +64,6 @@ struct PcapRecordRef {
   std::uint64_t offset = 0;
 };
 
-/// A read-only, private mapping of a whole file. Move-only; the mapping is
-/// released on destruction or when another mapping is moved over it.
-class FileMapping {
- public:
-  FileMapping() = default;
-  /// Maps `size` bytes of the open descriptor `fd` (`size` > 0); throws
-  /// CsbError naming `path` when the map fails.
-  FileMapping(int fd, std::size_t size, const std::string& path);
-  FileMapping(FileMapping&& other) noexcept;
-  FileMapping& operator=(FileMapping&& other) noexcept;
-  FileMapping(const FileMapping&) = delete;
-  FileMapping& operator=(const FileMapping&) = delete;
-  ~FileMapping();
-
-  [[nodiscard]] std::span<const std::uint8_t> bytes() const noexcept {
-    return {static_cast<const std::uint8_t*>(base_), size_};
-  }
-
- private:
-  void* base_ = nullptr;
-  std::size_t size_ = 0;
-};
-
 /// A capture indexed in one sequential pass: the mapped file bytes plus a
 /// per-record index. Reading a record through the index touches only its
 /// own bytes, so the seed pipeline decodes fixed record chunks in parallel
@@ -110,6 +89,11 @@ struct IndexedPcap {
 /// file that cannot be opened or mapped (a pipe, say) throws a CsbError
 /// naming it. The file must not shrink while the capture is alive.
 IndexedPcap index_pcap_file(const std::string& path);
+
+/// True when `magic`, the first four bytes of a file read in host order, is
+/// one of the four libpcap magics (micro- or nanosecond, either byte
+/// order).
+[[nodiscard]] bool is_pcap_magic(std::uint32_t magic) noexcept;
 
 /// Throws CsbError naming `path` when it cannot be created or written.
 void write_pcap_file(const std::string& path,

@@ -2,6 +2,7 @@
 // distribution as (value, probability) pair lists — exact round trip, no
 // refitting on load.
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <fstream>
 #include <istream>
@@ -22,13 +23,39 @@ void write_pod(std::ostream& out, const T& value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof value);
 }
 
-template <typename T>
-T read_pod(std::istream& in) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof value);
-  CSB_CHECK_MSG(in.good(), "truncated seed profile stream");
-  return value;
-}
+/// Reads a profile stream field by field, counting bytes, so malformed
+/// input throws CsbError("bad seed profile <name>: byte <offset>:
+/// <reason>") with the offset of the field that failed.
+class ProfileReader {
+ public:
+  ProfileReader(std::istream& in, const std::string& name)
+      : in_(in), name_(name) {}
+
+  [[nodiscard]] std::uint64_t offset() const noexcept { return offset_; }
+
+  template <typename T>
+  T read_pod() {
+    T value{};
+    in_.read(reinterpret_cast<char*>(&value), sizeof value);
+    if (!in_.good()) {
+      fail(offset_, "truncated (" + std::to_string(in_.gcount()) + " of " +
+                        std::to_string(sizeof value) + " bytes)");
+    }
+    offset_ += sizeof value;
+    return value;
+  }
+
+  [[noreturn]] void fail(std::uint64_t offset,
+                         const std::string& reason) const {
+    throw CsbError("bad seed profile " + name_ + ": byte " +
+                   std::to_string(offset) + ": " + reason);
+  }
+
+ private:
+  std::istream& in_;
+  const std::string& name_;
+  std::uint64_t offset_ = 0;
+};
 
 void write_empirical(std::ostream& out, const EmpiricalDistribution& dist) {
   write_pod(out, static_cast<std::uint64_t>(dist.support_size()));
@@ -38,15 +65,16 @@ void write_empirical(std::ostream& out, const EmpiricalDistribution& dist) {
   }
 }
 
-EmpiricalDistribution read_empirical(std::istream& in) {
-  const auto n = read_pod<std::uint64_t>(in);
-  CSB_CHECK_MSG(n > 0 && n <= (1ULL << 32),
-                "implausible distribution size in seed profile stream");
+EmpiricalDistribution read_empirical(ProfileReader& in) {
+  const std::uint64_t at = in.offset();
+  const auto n = in.read_pod<std::uint64_t>();
+  if (n == 0 || n > (1ULL << 32)) {
+    in.fail(at, "implausible distribution size " + std::to_string(n));
+  }
   std::vector<std::pair<double, double>> weighted;
-  weighted.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
-    const double value = read_pod<double>(in);
-    const double prob = read_pod<double>(in);
+    const double value = in.read_pod<double>();
+    const double prob = in.read_pod<double>();
     weighted.emplace_back(value, prob);
   }
   return EmpiricalDistribution::from_weighted(std::move(weighted));
@@ -63,13 +91,16 @@ void write_conditional(std::ostream& out,
   write_empirical(out, dist.marginal());
 }
 
-ConditionalDistribution read_conditional(std::istream& in) {
-  const auto buckets = read_pod<std::uint64_t>(in);
-  CSB_CHECK_MSG(buckets <= 64, "implausible bucket count in profile stream");
+ConditionalDistribution read_conditional(ProfileReader& in) {
+  const std::uint64_t at = in.offset();
+  const auto buckets = in.read_pod<std::uint64_t>();
+  if (buckets > 64) {
+    in.fail(at, "implausible bucket count " + std::to_string(buckets));
+  }
   std::vector<std::pair<std::uint32_t, EmpiricalDistribution>> parts;
   parts.reserve(buckets);
   for (std::uint64_t i = 0; i < buckets; ++i) {
-    const auto key = read_pod<std::uint32_t>(in);
+    const auto key = in.read_pod<std::uint32_t>();
     parts.emplace_back(key, read_empirical(in));
   }
   return ConditionalDistribution::from_parts(std::move(parts),
@@ -120,16 +151,19 @@ void SeedProfile::save(std::ostream& out) const {
   CSB_CHECK_MSG(out.good(), "failed writing seed profile stream");
 }
 
-SeedProfile SeedProfile::load(std::istream& in) {
-  char magic[4];
-  in.read(magic, sizeof magic);
-  CSB_CHECK_MSG(in.good() && std::equal(magic, magic + 4, kMagic),
-                "not a csb seed profile (bad magic)");
-  const auto version = read_pod<std::uint32_t>(in);
-  CSB_CHECK_MSG(version == kVersion, "unsupported seed profile version");
+SeedProfile SeedProfile::load(std::istream& stream, const std::string& name) {
+  ProfileReader in(stream, name);
+  const auto magic = in.read_pod<std::array<char, 4>>();
+  if (!std::equal(magic.begin(), magic.end(), kMagic)) {
+    in.fail(0, "not a csb seed profile (bad magic)");
+  }
+  const auto version = in.read_pod<std::uint32_t>();
+  if (version != kVersion) {
+    in.fail(4, "unsupported version " + std::to_string(version));
+  }
   SeedProfile profile;
-  profile.seed_vertices_ = read_pod<std::uint64_t>(in);
-  profile.seed_edges_ = read_pod<std::uint64_t>(in);
+  profile.seed_vertices_ = in.read_pod<std::uint64_t>();
+  profile.seed_edges_ = in.read_pod<std::uint64_t>();
   profile.in_degree_ = read_empirical(in);
   profile.out_degree_ = read_empirical(in);
   profile.in_bytes_ = read_empirical(in);
@@ -152,8 +186,10 @@ void SeedProfile::save_file(const std::string& path) const {
 
 SeedProfile SeedProfile::load_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  CSB_CHECK_MSG(in.is_open(), "cannot open for reading: " << path);
-  return load(in);
+  if (!in.is_open()) {
+    throw CsbError("bad seed profile " + path + ": cannot open for reading");
+  }
+  return load(in, path);
 }
 
 bool operator==(const SeedProfile& a, const SeedProfile& b) {

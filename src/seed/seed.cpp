@@ -1,10 +1,14 @@
 #include "seed/seed.hpp"
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <system_error>
 #include <unordered_map>
 #include <utility>
 
 #include "flow/assembler.hpp"
+#include "flow/netflow_io.hpp"
 #include "graph/algorithms.hpp"
 #include "obs/trace.hpp"
 #include "pcap/pcap_file.hpp"
@@ -96,23 +100,19 @@ PropertyGraph graph_from_netflow(const std::vector<NetflowRecord>& records,
     PhaseScope phase(trace, "seed:build-graph:fill");
     std::vector<VertexId> src(m);
     std::vector<VertexId> dst(m);
+    PropertyColumns props;
+    props.resize_for_overwrite(m);
     parallel_for_fixed_chunks(
         pool, 0, m, kGraphChunk, [&](const ChunkRange& chunk) {
           for (std::size_t r = chunk.begin; r < chunk.end; ++r) {
             src[r] = id_of.find(records[r].src_ip)->second;
             dst[r] = id_of.find(records[r].dst_ip)->second;
+            props.set_row(r, records[r].to_edge_properties());
           }
         });
     graph = PropertyGraph::from_columns_unchecked(vertices, std::move(src),
                                                   std::move(dst));
-    graph.ensure_properties_for_overwrite();
-    parallel_for_fixed_chunks(
-        pool, 0, m, kGraphChunk, [&](const ChunkRange& chunk) {
-          for (std::size_t r = chunk.begin; r < chunk.end; ++r) {
-            graph.set_edge_properties(static_cast<EdgeId>(r),
-                                      records[r].to_edge_properties());
-          }
-        });
+    graph.attach_properties(std::move(props));
   }
   return graph;
 }
@@ -349,6 +349,26 @@ std::vector<NetflowRecord> flows_from_pcap_file(const std::string& path,
     decoded = decode_packets(capture, pool);
   }
   return assemble_decoded(decoded, pool);
+}
+
+std::vector<NetflowRecord> flows_from_file(const std::string& path,
+                                           ThreadPool* pool) {
+  std::error_code ec;
+  if (std::filesystem::is_directory(path, ec)) {
+    throw CsbError("cannot read flows from " + path + ": is a directory");
+  }
+  std::uint32_t magic = 0;
+  {
+    std::ifstream in(path, std::ios::binary);
+    if (!in.is_open()) {
+      throw CsbError("cannot read flows from " + path +
+                     ": cannot open for reading");
+    }
+    in.read(reinterpret_cast<char*>(&magic), sizeof magic);
+    if (in.gcount() != sizeof magic) magic = 0;
+  }
+  if (is_pcap_magic(magic)) return flows_from_pcap_file(path, pool);
+  return load_netflow_csv_file(path);
 }
 
 SeedBundle build_seed_from_pcap_file(const std::string& path,

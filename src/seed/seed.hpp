@@ -121,7 +121,10 @@ class SeedProfile {
   /// Binary (de)serialization, so the Fig. 1 analysis runs once and later
   /// generator invocations reload the fitted distributions directly.
   void save(std::ostream& out) const;
-  static SeedProfile load(std::istream& in);
+  /// Malformed input throws CsbError("bad seed profile <name>: byte
+  /// <offset>: <reason>"); load_file names the file.
+  static SeedProfile load(std::istream& in,
+                          const std::string& name = "stream");
   void save_file(const std::string& path) const;
   static SeedProfile load_file(const std::string& path);
 
@@ -170,6 +173,13 @@ SeedBundle build_seed_from_packets(const std::vector<PcapPacket>& packets,
 /// over `pool` when one is given. The file is unmapped once decoded.
 std::vector<NetflowRecord> flows_from_pcap_file(const std::string& path,
                                                 ThreadPool* pool = nullptr);
+
+/// Flow records from an input file, its reader chosen by content: a file
+/// whose first four bytes are a libpcap magic goes through
+/// flows_from_pcap_file, anything else is read as NetFlow CSV. A directory
+/// or a path that cannot be opened throws CsbError naming it.
+std::vector<NetflowRecord> flows_from_file(const std::string& path,
+                                           ThreadPool* pool = nullptr);
 
 /// Full Fig. 1 pipeline from a pcap file on disk: flows_from_pcap_file,
 /// then the seed graph and its profile.

@@ -119,18 +119,7 @@ void replay_graph_into(const PropertyGraph& graph, GraphStore& store,
         static_cast<std::size_t>(std::min<std::uint64_t>(kChunk, edges - at));
     store.put_edges(at, src.subspan(at, count), dst.subspan(at, count));
     if (with_props) {
-      const PropertyRowsView rows{
-          .protocol = graph.protocols().subspan(at, count),
-          .src_port = graph.src_ports().subspan(at, count),
-          .dst_port = graph.dst_ports().subspan(at, count),
-          .duration_ms = graph.durations_ms().subspan(at, count),
-          .out_bytes = graph.out_bytes().subspan(at, count),
-          .in_bytes = graph.in_bytes().subspan(at, count),
-          .out_pkts = graph.out_pkts().subspan(at, count),
-          .in_pkts = graph.in_pkts().subspan(at, count),
-          .state = graph.states().subspan(at, count),
-      };
-      store.put_properties(at, rows);
+      store.put_properties(at, graph.properties().view(at, count));
     }
   }
   store.finish();

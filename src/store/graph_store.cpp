@@ -7,44 +7,6 @@
 
 namespace csb {
 
-void PropertyRowsBuffer::reserve(std::size_t rows) {
-  protocol.reserve(rows);
-  src_port.reserve(rows);
-  dst_port.reserve(rows);
-  duration_ms.reserve(rows);
-  out_bytes.reserve(rows);
-  in_bytes.reserve(rows);
-  out_pkts.reserve(rows);
-  in_pkts.reserve(rows);
-  state.reserve(rows);
-}
-
-void PropertyRowsBuffer::push_back(const EdgeProperties& props) {
-  protocol.push_back(props.protocol);
-  src_port.push_back(props.src_port);
-  dst_port.push_back(props.dst_port);
-  duration_ms.push_back(props.duration_ms);
-  out_bytes.push_back(props.out_bytes);
-  in_bytes.push_back(props.in_bytes);
-  out_pkts.push_back(props.out_pkts);
-  in_pkts.push_back(props.in_pkts);
-  state.push_back(props.state);
-}
-
-PropertyRowsView PropertyRowsBuffer::view() const noexcept {
-  return PropertyRowsView{
-      .protocol = protocol,
-      .src_port = src_port,
-      .dst_port = dst_port,
-      .duration_ms = duration_ms,
-      .out_bytes = out_bytes,
-      .in_bytes = in_bytes,
-      .out_pkts = out_pkts,
-      .in_pkts = in_pkts,
-      .state = state,
-  };
-}
-
 namespace {
 
 template <typename Column>
@@ -90,15 +52,11 @@ void MemoryStore::put_properties(std::uint64_t first_edge,
                 "put_properties on a structure-only store");
   CSB_CHECK_MSG(first_edge + rows.size() <= header_.edges,
                 "property chunk exceeds the announced edge count");
-  copy_at(props_.protocol, first_edge, rows.protocol);
-  copy_at(props_.src_port, first_edge, rows.src_port);
-  copy_at(props_.dst_port, first_edge, rows.dst_port);
-  copy_at(props_.duration_ms, first_edge, rows.duration_ms);
-  copy_at(props_.out_bytes, first_edge, rows.out_bytes);
-  copy_at(props_.in_bytes, first_edge, rows.in_bytes);
-  copy_at(props_.out_pkts, first_edge, rows.out_pkts);
-  copy_at(props_.in_pkts, first_edge, rows.in_pkts);
-  copy_at(props_.state, first_edge, rows.state);
+  zip_netflow_columns(
+      [first_edge](auto, auto& column, const auto& chunk) {
+        copy_at(column, first_edge, chunk);
+      },
+      props_, rows);
 }
 
 void MemoryStore::finish() {

@@ -37,41 +37,6 @@ struct StoreHeader {
   std::uint64_t seed = 0;
 };
 
-/// A chunk of NetFlow property rows in column form (spans over the nine
-/// NetFlow columns, all the same length). Column form keeps put_properties
-/// a straight memcpy per column on both backends.
-struct PropertyRowsView {
-  std::span<const Protocol> protocol;
-  std::span<const std::uint16_t> src_port;
-  std::span<const std::uint16_t> dst_port;
-  std::span<const std::uint32_t> duration_ms;
-  std::span<const std::uint64_t> out_bytes;
-  std::span<const std::uint64_t> in_bytes;
-  std::span<const std::uint32_t> out_pkts;
-  std::span<const std::uint32_t> in_pkts;
-  std::span<const ConnState> state;
-
-  [[nodiscard]] std::size_t size() const noexcept { return protocol.size(); }
-};
-
-/// Column-form staging buffer for one property chunk; samplers fill it row
-/// by row via push_back, then hand view() to put_properties.
-struct PropertyRowsBuffer {
-  std::vector<Protocol> protocol;
-  std::vector<std::uint16_t> src_port;
-  std::vector<std::uint16_t> dst_port;
-  std::vector<std::uint32_t> duration_ms;
-  std::vector<std::uint64_t> out_bytes;
-  std::vector<std::uint64_t> in_bytes;
-  std::vector<std::uint32_t> out_pkts;
-  std::vector<std::uint32_t> in_pkts;
-  std::vector<ConnState> state;
-
-  void reserve(std::size_t rows);
-  void push_back(const EdgeProperties& props);
-  [[nodiscard]] PropertyRowsView view() const noexcept;
-};
-
 /// The polymorphic generation sink. Call sequence: begin() once, then any
 /// number of put_edges / put_properties calls (thread-safe, any order, each
 /// chunk's offset range within [0, edges)), then finish() once. Every edge
@@ -92,7 +57,9 @@ class GraphStore {
                          std::span<const VertexId> dst) = 0;
 
   /// Writes property rows for global edges
-  /// [first_edge, first_edge + rows.size()).
+  /// [first_edge, first_edge + rows.size()). Column form (PropertyRowsView,
+  /// graph/property_graph.hpp) keeps this a straight copy per column on
+  /// both backends.
   virtual void put_properties(std::uint64_t first_edge,
                               const PropertyRowsView& rows) = 0;
 

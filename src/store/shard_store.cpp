@@ -1,7 +1,6 @@
 #include "store/shard_store.hpp"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -18,6 +17,7 @@
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
+#include "util/file_mapping.hpp"
 #include "util/parallel.hpp"
 #include "util/scoped_fd.hpp"
 #include "util/thread_pool.hpp"
@@ -33,8 +33,6 @@ constexpr std::uint32_t kCsrVersion = 1;
 constexpr std::uint64_t kCsrHeaderBytes = 24;
 /// Bytes per edge in a shard edge file (src u64 + dst u64).
 constexpr std::uint64_t kEdgeBytes = 16;
-/// Bytes per edge across the nine property columns.
-constexpr std::uint64_t kPropBytes = 34;
 /// Edges per IO chunk when streaming shard files.
 constexpr std::size_t kScanChunk = 1 << 16;
 /// (dst, src) pairs buffered per partition stream before flushing.
@@ -106,13 +104,17 @@ void pread_all(int fd, void* data, std::size_t bytes, std::uint64_t offset,
   }
 }
 
-/// Byte offset of property column `c` (schema order) within a prop file
-/// holding `shard_edges` rows.
-std::uint64_t prop_column_offset(std::size_t c, std::uint64_t shard_edges) {
-  static constexpr std::uint64_t kWidths[9] = {1, 2, 2, 4, 8, 8, 4, 4, 1};
-  std::uint64_t off = 0;
-  for (std::size_t i = 0; i < c; ++i) off += kWidths[i] * shard_edges;
-  return off;
+/// Calls fn(column, offset) for each property column of `columns` in
+/// schema order, where `offset` is the column's byte offset within a prop
+/// file holding `shard_edges` rows (the columns are laid end to end).
+template <typename Columns, typename Fn>
+void for_each_prop_column(Columns& columns, std::uint64_t shard_edges,
+                          Fn&& fn) {
+  std::uint64_t offset = 0;
+  columns.for_each_column([&](auto& column) {
+    fn(column, offset);
+    offset += sizeof(column[0]) * shard_edges;
+  });
 }
 
 /// Advises the kernel that `fd` will be read front to back. Purely a
@@ -151,16 +153,9 @@ std::uint64_t csr_checksum_term(std::uint64_t word_index, std::uint64_t word) {
 std::uint64_t property_checksum_term(std::uint64_t index,
                                      const EdgeProperties& row) {
   std::uint64_t acc = index ^ 0x9602'0b57'0000'0002ULL;
-  const auto fold = [&acc](std::uint64_t value) { acc = acc * 31 + value; };
-  fold(static_cast<std::uint64_t>(row.protocol));
-  fold(row.src_port);
-  fold(row.dst_port);
-  fold(row.duration_ms);
-  fold(row.out_bytes);
-  fold(row.in_bytes);
-  fold(row.out_pkts);
-  fold(row.in_pkts);
-  fold(static_cast<std::uint64_t>(row.state));
+  zip_netflow_columns([&](auto field) {
+    acc = acc * 31 + static_cast<std::uint64_t>(row.*field);
+  });
   return mix64(acc);
 }
 
@@ -169,8 +164,8 @@ std::uint64_t property_checksum_term(std::uint64_t index,
 struct ShardStore::ShardFile {
   std::string edge_path;
   std::string prop_path;
-  int edge_fd = -1;
-  int prop_fd = -1;
+  ScopedFd edge_fd;
+  ScopedFd prop_fd;
   std::uint64_t first_edge = 0;
   std::uint64_t edges = 0;
   std::atomic<std::uint64_t> edge_sum{0};
@@ -184,16 +179,7 @@ ShardStore::ShardStore(ShardStoreOptions options)
   CSB_CHECK_MSG(options_.shard_count > 0, "shard_count must be positive");
 }
 
-ShardStore::~ShardStore() { close_files(); }
-
-void ShardStore::close_files() {
-  for (auto& shard : shards_) {
-    if (shard->edge_fd >= 0) ::close(shard->edge_fd);
-    if (shard->prop_fd >= 0) ::close(shard->prop_fd);
-    shard->edge_fd = -1;
-    shard->prop_fd = -1;
-  }
-}
+ShardStore::~ShardStore() = default;
 
 void ShardStore::begin(const StoreHeader& header) {
   CSB_CHECK_MSG(!begun_, "ShardStore::begin called twice");
@@ -217,23 +203,24 @@ void ShardStore::begin(const StoreHeader& header) {
     shard->edges = end - shard->first_edge;
     shard->edge_path =
         (fs::path(options_.directory) / shard_file_name("edges", s)).string();
-    shard->edge_fd = ::open(shard->edge_path.c_str(),
-                            O_RDWR | O_CREAT | O_TRUNC, 0644);
-    CSB_CHECK_MSG(shard->edge_fd >= 0,
+    shard->edge_fd = ScopedFd(::open(shard->edge_path.c_str(),
+                                     O_RDWR | O_CREAT | O_TRUNC, 0644));
+    CSB_CHECK_MSG(shard->edge_fd.fd >= 0,
                   "cannot create shard file: " << shard->edge_path);
-    CSB_CHECK_MSG(::ftruncate(shard->edge_fd,
+    CSB_CHECK_MSG(::ftruncate(shard->edge_fd.fd,
                               static_cast<off_t>(shard->edges * kEdgeBytes)) == 0,
                   "cannot size shard file: " << shard->edge_path);
     if (header.with_properties) {
       shard->prop_path =
           (fs::path(options_.directory) / shard_file_name("props", s)).string();
-      shard->prop_fd = ::open(shard->prop_path.c_str(),
-                              O_RDWR | O_CREAT | O_TRUNC, 0644);
-      CSB_CHECK_MSG(shard->prop_fd >= 0,
+      shard->prop_fd = ScopedFd(::open(shard->prop_path.c_str(),
+                                       O_RDWR | O_CREAT | O_TRUNC, 0644));
+      CSB_CHECK_MSG(shard->prop_fd.fd >= 0,
                     "cannot create shard file: " << shard->prop_path);
       CSB_CHECK_MSG(
-          ::ftruncate(shard->prop_fd,
-                      static_cast<off_t>(shard->edges * kPropBytes)) == 0,
+          ::ftruncate(shard->prop_fd.fd,
+                      static_cast<off_t>(shard->edges *
+                                         PropertyColumns::kRowBytes)) == 0,
           "cannot size shard file: " << shard->prop_path);
     }
     shards_.push_back(std::move(shard));
@@ -256,10 +243,10 @@ void ShardStore::put_edges(std::uint64_t first_edge,
     const std::uint64_t count = end - at;
     const std::uint64_t local = at - shard.first_edge;
     const std::uint64_t in_chunk = at - first_edge;
-    pwrite_all(shard.edge_fd, src.data() + in_chunk,
+    pwrite_all(shard.edge_fd.fd, src.data() + in_chunk,
                count * sizeof(VertexId), local * sizeof(VertexId),
                shard.edge_path);
-    pwrite_all(shard.edge_fd, dst.data() + in_chunk,
+    pwrite_all(shard.edge_fd.fd, dst.data() + in_chunk,
                count * sizeof(VertexId),
                shard.edges * sizeof(VertexId) + local * sizeof(VertexId),
                shard.edge_path);
@@ -288,36 +275,15 @@ void ShardStore::put_properties(std::uint64_t first_edge,
     const std::uint64_t count = end - at;
     const std::uint64_t local = at - shard.first_edge;
     const std::uint64_t in_chunk = at - first_edge;
-    const auto put = [&](std::size_t column, const void* data,
-                         std::uint64_t width) {
-      pwrite_all(shard.prop_fd, data, count * width,
-                 prop_column_offset(column, shard.edges) + local * width,
-                 shard.prop_path);
-    };
-    put(0, rows.protocol.data() + in_chunk, 1);
-    put(1, rows.src_port.data() + in_chunk, 2);
-    put(2, rows.dst_port.data() + in_chunk, 2);
-    put(3, rows.duration_ms.data() + in_chunk, 4);
-    put(4, rows.out_bytes.data() + in_chunk, 8);
-    put(5, rows.in_bytes.data() + in_chunk, 8);
-    put(6, rows.out_pkts.data() + in_chunk, 4);
-    put(7, rows.in_pkts.data() + in_chunk, 4);
-    put(8, rows.state.data() + in_chunk, 1);
+    for_each_prop_column(
+        rows, shard.edges, [&](const auto& column, std::uint64_t offset) {
+          const std::uint64_t width = sizeof(column[0]);
+          pwrite_all(shard.prop_fd.fd, column.data() + in_chunk,
+                     count * width, offset + local * width, shard.prop_path);
+        });
     std::uint64_t sum = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
-      const std::uint64_t r = in_chunk + i;
-      sum += property_checksum_term(
-          at + i, EdgeProperties{
-                      .protocol = rows.protocol[r],
-                      .src_port = rows.src_port[r],
-                      .dst_port = rows.dst_port[r],
-                      .duration_ms = rows.duration_ms[r],
-                      .out_bytes = rows.out_bytes[r],
-                      .in_bytes = rows.in_bytes[r],
-                      .out_pkts = rows.out_pkts[r],
-                      .in_pkts = rows.in_pkts[r],
-                      .state = rows.state[r],
-                  });
+      sum += property_checksum_term(at + i, rows.row(in_chunk + i));
     }
     shard.prop_sum.fetch_add(sum, std::memory_order_relaxed);
     at = end;
@@ -351,19 +317,19 @@ void ShardStore::finish() {
       for (const auto& shard_ptr : shards_) {
         ShardFile* shard = shard_ptr.get();
         tasks.push_back([shard, n, &out_counts, &in_counts] {
-          advise_sequential_read(shard->edge_fd);
+          advise_sequential_read(shard->edge_fd.fd);
           std::vector<VertexId> buf(kScanChunk);
           for (std::uint64_t at = 0; at < shard->edges; at += kScanChunk) {
             const std::uint64_t count =
                 std::min<std::uint64_t>(kScanChunk, shard->edges - at);
-            pread_all(shard->edge_fd, buf.data(), count * sizeof(VertexId),
+            pread_all(shard->edge_fd.fd, buf.data(), count * sizeof(VertexId),
                       at * sizeof(VertexId), shard->edge_path);
             for (std::uint64_t i = 0; i < count; ++i) {
               CSB_CHECK_MSG(buf[i] < n,
                             "edge endpoints must be existing vertices");
               out_counts[buf[i]].fetch_add(1, std::memory_order_relaxed);
             }
-            pread_all(shard->edge_fd, buf.data(), count * sizeof(VertexId),
+            pread_all(shard->edge_fd.fd, buf.data(), count * sizeof(VertexId),
                       shard->edges * sizeof(VertexId) + at * sizeof(VertexId),
                       shard->edge_path);
             for (std::uint64_t i = 0; i < count; ++i) {
@@ -476,7 +442,7 @@ void ShardStore::finish() {
         tasks.push_back([this, s, ranges, &part_paths, &part_pairs,
                          &range_of] {
           ShardFile& shard = *shards_[s];
-          advise_sequential_read(shard.edge_fd);
+          advise_sequential_read(shard.edge_fd.fd);
           std::vector<ScopedFd> fds;
           fds.reserve(ranges);
           for (std::size_t r = 0; r < ranges; ++r) {
@@ -492,9 +458,9 @@ void ShardStore::finish() {
           for (std::uint64_t at = 0; at < shard.edges; at += kScanChunk) {
             const std::uint64_t count =
                 std::min<std::uint64_t>(kScanChunk, shard.edges - at);
-            pread_all(shard.edge_fd, srcs.data(), count * sizeof(VertexId),
+            pread_all(shard.edge_fd.fd, srcs.data(), count * sizeof(VertexId),
                       at * sizeof(VertexId), shard.edge_path);
-            pread_all(shard.edge_fd, dsts.data(), count * sizeof(VertexId),
+            pread_all(shard.edge_fd.fd, dsts.data(), count * sizeof(VertexId),
                       shard.edges * sizeof(VertexId) + at * sizeof(VertexId),
                       shard.edge_path);
             for (std::uint64_t i = 0; i < count; ++i) {
@@ -560,10 +526,10 @@ void ShardStore::finish() {
                      at += kScanChunk) {
                   const std::uint64_t count =
                       std::min<std::uint64_t>(kScanChunk, shard->edges - at);
-                  pread_all(shard->edge_fd, srcs.data(),
+                  pread_all(shard->edge_fd.fd, srcs.data(),
                             count * sizeof(VertexId), at * sizeof(VertexId),
                             shard->edge_path);
-                  pread_all(shard->edge_fd, dsts.data(),
+                  pread_all(shard->edge_fd.fd, dsts.data(),
                             count * sizeof(VertexId),
                             shard->edges * sizeof(VertexId) +
                                 at * sizeof(VertexId),
@@ -658,7 +624,10 @@ void ShardStore::finish() {
     csr_checksum = csr_sum.load(std::memory_order_relaxed);
   }
 
-  close_files();
+  for (auto& shard : shards_) {
+    shard->edge_fd = ScopedFd();
+    shard->prop_fd = ScopedFd();
+  }
 
   // Manifest last: its presence marks the directory complete.
   manifest_.vertices = header_.vertices;
@@ -804,7 +773,8 @@ ShardStoreReader::ShardStoreReader(const std::string& directory)
     if (manifest_.with_properties) {
       const std::string prop_path =
           (fs::path(directory_) / info.prop_file).string();
-      CSB_CHECK_MSG(expected_file_size(prop_path) == info.edges * kPropBytes,
+      CSB_CHECK_MSG(expected_file_size(prop_path) ==
+                        info.edges * PropertyColumns::kRowBytes,
                     "truncated shard file: " << prop_path);
     }
   }
@@ -821,27 +791,12 @@ ShardStoreReader::ShardStoreReader(const std::string& directory)
       kCsrHeaderBytes + (n + (n + 1) + m) * sizeof(std::uint64_t);
   CSB_CHECK_MSG(expected_file_size(csr_path) == expected,
                 "truncated CSR file: " << csr_path);
-  const int fd = ::open(csr_path.c_str(), O_RDONLY);
-  CSB_CHECK_MSG(fd >= 0, "cannot open CSR file: " << csr_path);
-  const std::uint64_t* base = nullptr;
-  void* map = ::mmap(nullptr, expected, PROT_READ, MAP_PRIVATE, fd, 0);
-  if (map != MAP_FAILED) {
-    // Streamed veracity walks the mapped arrays front to back; tell the
-    // pager so readahead covers the scan (guarded no-op elsewhere).
-#if defined(POSIX_MADV_SEQUENTIAL)
-    (void)::posix_madvise(map, expected, POSIX_MADV_SEQUENTIAL);
-#endif
-    csr_map_ = map;
-    csr_map_bytes_ = expected;
-    base = static_cast<const std::uint64_t*>(map);
-  } else {
-    // mmap unavailable (exotic filesystem): fall back to a heap copy so
-    // the reader still works, just without the page-cache sharing.
-    csr_heap_.resize(expected / sizeof(std::uint64_t));
-    pread_all(fd, csr_heap_.data(), expected, 0, csr_path);
-    base = csr_heap_.data();
-  }
-  ::close(fd);
+  const ScopedFd fd(::open(csr_path.c_str(), O_RDONLY));
+  CSB_CHECK_MSG(fd.fd >= 0, "cannot open CSR file: " << csr_path);
+  // Streamed veracity walks the mapped arrays front to back.
+  csr_map_ = FileMapping(fd.fd, static_cast<std::size_t>(expected), csr_path);
+  const auto* base =
+      reinterpret_cast<const std::uint64_t*>(csr_map_.bytes().data());
   char magic[4];
   std::uint32_t version = 0;
   std::memcpy(magic, base, 4);
@@ -859,15 +814,10 @@ ShardStoreReader::ShardStoreReader(const std::string& directory)
   csr_.out_degrees_ = {arrays, static_cast<std::size_t>(n)};
   csr_.in_offsets_ = {arrays + n, static_cast<std::size_t>(n + 1)};
   csr_.in_neighbors_ = {arrays + n + n + 1, static_cast<std::size_t>(m)};
-  csr_mapped_ = true;
-}
-
-ShardStoreReader::~ShardStoreReader() {
-  if (csr_map_ != nullptr) ::munmap(csr_map_, csr_map_bytes_);
 }
 
 const CsrIndexView& ShardStoreReader::csr() const {
-  CSB_CHECK_MSG(csr_mapped_,
+  CSB_CHECK_MSG(has_csr(),
                 "shard store " << directory_ << " was written without a CSR");
   return csr_;
 }
@@ -913,66 +863,32 @@ void ShardStoreReader::scan_edges(
   }
 }
 
-PropertyRowsBuffer ShardStoreReader::read_shard_properties(
-    std::size_t s) const {
+void ShardStoreReader::read_shard_properties(std::size_t s,
+                                             PropertyColumns& into,
+                                             std::uint64_t first_row) const {
   CSB_CHECK_MSG(manifest_.with_properties,
                 "shard store " << directory_ << " has no properties");
   CSB_CHECK_MSG(s < manifest_.shards.size(), "shard index out of range");
   namespace fs = std::filesystem;
   const ShardInfo& info = manifest_.shards[s];
+  CSB_CHECK_MSG(first_row + info.edges <= into.size(),
+                "property columns too short for shard " << s);
   const std::string path = (fs::path(directory_) / info.prop_file).string();
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  CSB_CHECK_MSG(fd >= 0, "cannot open shard file: " << path);
-  advise_sequential_read(fd);
-  PropertyRowsBuffer rows;
-  const std::uint64_t count = info.edges;
-  try {
-    const auto read_col = [&](std::size_t column, void* data,
-                              std::uint64_t width) {
-      pread_all(fd, data, count * width, prop_column_offset(column, count),
-                path);
-    };
-    rows.protocol.resize(count);
-    rows.src_port.resize(count);
-    rows.dst_port.resize(count);
-    rows.duration_ms.resize(count);
-    rows.out_bytes.resize(count);
-    rows.in_bytes.resize(count);
-    rows.out_pkts.resize(count);
-    rows.in_pkts.resize(count);
-    rows.state.resize(count);
-    read_col(0, rows.protocol.data(), 1);
-    read_col(1, rows.src_port.data(), 2);
-    read_col(2, rows.dst_port.data(), 2);
-    read_col(3, rows.duration_ms.data(), 4);
-    read_col(4, rows.out_bytes.data(), 8);
-    read_col(5, rows.in_bytes.data(), 8);
-    read_col(6, rows.out_pkts.data(), 4);
-    read_col(7, rows.in_pkts.data(), 4);
-    read_col(8, rows.state.data(), 1);
-  } catch (...) {
-    ::close(fd);
-    throw;
-  }
-  ::close(fd);
+  const ScopedFd fd(::open(path.c_str(), O_RDONLY));
+  CSB_CHECK_MSG(fd.fd >= 0, "cannot open shard file: " << path);
+  advise_sequential_read(fd.fd);
+  for_each_prop_column(
+      into, info.edges, [&](auto& column, std::uint64_t offset) {
+        pread_all(fd.fd, column.data() + first_row,
+                  info.edges * sizeof(column[0]), offset, path);
+      });
+  const PropertyRowsView rows = into.view(first_row, info.edges);
   std::uint64_t sum = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    sum += property_checksum_term(
-        info.first_edge + i, EdgeProperties{
-                                 .protocol = rows.protocol[i],
-                                 .src_port = rows.src_port[i],
-                                 .dst_port = rows.dst_port[i],
-                                 .duration_ms = rows.duration_ms[i],
-                                 .out_bytes = rows.out_bytes[i],
-                                 .in_bytes = rows.in_bytes[i],
-                                 .out_pkts = rows.out_pkts[i],
-                                 .in_pkts = rows.in_pkts[i],
-                                 .state = rows.state[i],
-                             });
+  for (std::uint64_t i = 0; i < info.edges; ++i) {
+    sum += property_checksum_term(info.first_edge + i, rows.row(i));
   }
   CSB_CHECK_MSG(sum == info.prop_checksum,
                 "checksum mismatch in shard file: " << path);
-  return rows;
 }
 
 void ShardStoreReader::verify(ThreadPool* pool) const {
@@ -987,7 +903,11 @@ void ShardStoreReader::verify(ThreadPool* pool) const {
     for (std::size_t s = 0; s < manifest_.shards.size(); ++s) {
       tasks.push_back([this, s] {
         scan_shard_edges(s, nullptr);
-        if (manifest_.with_properties) (void)read_shard_properties(s);
+        if (manifest_.with_properties) {
+          PropertyColumns rows;
+          rows.resize_for_overwrite(manifest_.shards[s].edges);
+          read_shard_properties(s, rows, 0);
+        }
       });
     }
     parallel_tasks(pool, tasks);
@@ -1035,25 +955,12 @@ PropertyGraph ShardStoreReader::to_property_graph() const {
   PropertyGraph graph = PropertyGraph::from_columns(
       manifest_.vertices, std::move(src), std::move(dst));
   if (!manifest_.with_properties) return graph;
-  graph.ensure_properties_for_overwrite();
+  PropertyColumns props;
+  props.resize_for_overwrite(manifest_.edges);
   for (std::size_t s = 0; s < manifest_.shards.size(); ++s) {
-    const ShardInfo& info = manifest_.shards[s];
-    const PropertyRowsBuffer rows = read_shard_properties(s);
-    for (std::uint64_t i = 0; i < info.edges; ++i) {
-      graph.set_edge_properties(info.first_edge + i,
-                                EdgeProperties{
-                                    .protocol = rows.protocol[i],
-                                    .src_port = rows.src_port[i],
-                                    .dst_port = rows.dst_port[i],
-                                    .duration_ms = rows.duration_ms[i],
-                                    .out_bytes = rows.out_bytes[i],
-                                    .in_bytes = rows.in_bytes[i],
-                                    .out_pkts = rows.out_pkts[i],
-                                    .in_pkts = rows.in_pkts[i],
-                                    .state = rows.state[i],
-                                });
-    }
+    read_shard_properties(s, props, manifest_.shards[s].first_edge);
   }
+  graph.attach_properties(std::move(props));
   return graph;
 }
 

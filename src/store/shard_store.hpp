@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "store/graph_store.hpp"
+#include "util/file_mapping.hpp"
 
 namespace csb {
 
@@ -108,7 +109,6 @@ class ShardStore final : public GraphStore {
 
  private:
   struct ShardFile;
-  void close_files();
 
   ShardStoreOptions options_;
   StoreHeader header_;
@@ -120,8 +120,7 @@ class ShardStore final : public GraphStore {
 };
 
 /// Read-only view of csr.bin, valid while the owning ShardStoreReader
-/// lives. Spans point into the mmap'd file (or a heap copy where mmap is
-/// unavailable).
+/// lives. Spans point into the mmap'd file.
 class CsrIndexView {
  public:
   [[nodiscard]] std::uint64_t num_vertices() const noexcept {
@@ -160,12 +159,11 @@ class CsrIndexView {
 class ShardStoreReader {
  public:
   explicit ShardStoreReader(const std::string& directory);
-  ~ShardStoreReader();
-  ShardStoreReader(const ShardStoreReader&) = delete;
-  ShardStoreReader& operator=(const ShardStoreReader&) = delete;
 
   [[nodiscard]] const ShardManifest& manifest() const { return manifest_; }
-  [[nodiscard]] bool has_csr() const noexcept { return csr_mapped_; }
+  [[nodiscard]] bool has_csr() const noexcept {
+    return !csr_map_.bytes().empty();
+  }
   /// The mmap'd CSR index; throws when the store was written without one.
   [[nodiscard]] const CsrIndexView& csr() const;
 
@@ -176,8 +174,11 @@ class ShardStoreReader {
       const std::function<void(std::uint64_t, std::span<const VertexId>,
                                std::span<const VertexId>)>& emit) const;
 
-  /// Loads shard s's property columns (verifying the shard checksum).
-  [[nodiscard]] PropertyRowsBuffer read_shard_properties(std::size_t s) const;
+  /// Reads shard s's property columns into rows
+  /// [first_row, first_row + shard edges) of `into`, verifying the shard
+  /// checksum.
+  void read_shard_properties(std::size_t s, PropertyColumns& into,
+                             std::uint64_t first_row) const;
 
   /// Recomputes every shard checksum and the csr.bin checksum. A non-null
   /// pool fans the per-shard scans and the CSR word sum out over it — the
@@ -200,10 +201,7 @@ class ShardStoreReader {
   std::string directory_;
   ShardManifest manifest_;
   CsrIndexView csr_;
-  bool csr_mapped_ = false;
-  void* csr_map_ = nullptr;  ///< mmap base (nullptr when heap fallback)
-  std::size_t csr_map_bytes_ = 0;
-  std::vector<std::uint64_t> csr_heap_;  ///< fallback storage
+  FileMapping csr_map_;  ///< csr.bin; empty when the store has none
 };
 
 /// The checksum terms (exposed for tests): sum over the covered edges of

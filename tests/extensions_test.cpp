@@ -430,16 +430,24 @@ TEST(FromColumnsTest, BuildsAndValidates) {
   EXPECT_THROW(PropertyGraph::from_columns(2, {0, 1}, {1}), CsbError);
 }
 
-TEST(EnsurePropertiesForOverwriteTest, AttachesColumnsOfRightSize) {
+TEST(AttachPropertiesTest, AttachesColumnsOfRightSize) {
   PropertyGraph g(3);
   g.add_edge(0, 1);
   g.add_edge(1, 2);
-  g.ensure_properties_for_overwrite();
+  PropertyColumns short_columns;
+  short_columns.resize_for_overwrite(1);
+  EXPECT_THROW(g.attach_properties(short_columns), CsbError);
+  EXPECT_FALSE(g.has_properties());
+
+  PropertyColumns columns;
+  columns.resize_for_overwrite(2);
+  columns.set_row(0, EdgeProperties{});
+  columns.set_row(1, EdgeProperties{.dst_port = 80});
+  g.attach_properties(std::move(columns));
   EXPECT_TRUE(g.has_properties());
-  // Contents are indeterminate; only shape is guaranteed.
   EXPECT_EQ(g.protocols().size(), 2u);
-  g.set_edge_properties(0, EdgeProperties{});
   EXPECT_EQ(g.edge_properties(0), EdgeProperties{});
+  EXPECT_EQ(g.edge_properties(1).dst_port, 80u);
 }
 
 }  // namespace

@@ -220,6 +220,37 @@ TEST(FlowAssemblerTest, ActiveTimeoutCutsLongFlow) {
   EXPECT_EQ(total_pkts, 12u);
 }
 
+// Captures reorder packets by microseconds. A packet stamped before its
+// flow's last (or first) packet is no gap, so neither timeout cuts.
+TEST(FlowAssemblerTest, OutOfOrderPacketsDoNotCutFlow) {
+  FrameSpec frame;
+  frame.src_ip = 1;
+  frame.dst_ip = 2;
+  frame.src_port = 1000;
+  frame.dst_port = 2000;
+  const auto bytes = build_udp_frame(frame);
+  const auto packets_at = [&](std::initializer_list<std::uint64_t> stamps) {
+    std::vector<DecodedPacket> packets;
+    for (const std::uint64_t ts : stamps) {
+      const auto packet = decode_frame(
+          bytes.data(), bytes.size(),
+          static_cast<std::uint32_t>(bytes.size()), ts);
+      EXPECT_TRUE(packet.has_value());
+      if (packet) packets.push_back(*packet);
+    }
+    return packets;
+  };
+  // Behind the flow's last packet: the idle gap.
+  const auto behind_last =
+      packets_at({10'000'000, 10'000'500, 10'000'400, 10'000'600});
+  const auto flows = assemble_flows(behind_last);
+  ASSERT_EQ(flows.size(), 1u);
+  EXPECT_EQ(flows.front().out_pkts, 4u);
+  EXPECT_EQ(flows.front().last_us, 10'000'600u);
+  // Behind the flow's first packet: the active-timeout span.
+  EXPECT_EQ(assemble_flows(packets_at({10'000'500, 10'000'000})).size(), 1u);
+}
+
 // ---------------------------------------------------------- parallel shard
 
 /// Benign traffic with a SYN flood, a host scan and a UDP flood injected at

@@ -73,14 +73,6 @@ TEST(PropertyGraphTest, PropertyRoundTrip) {
   EXPECT_EQ(g.edge_properties(e), props);
 }
 
-TEST(PropertyGraphTest, SetEdgePropertiesOverwrites) {
-  PropertyGraph g(2);
-  g.add_edge(0, 1, EdgeProperties{});
-  EdgeProperties updated = sample_props();
-  g.set_edge_properties(0, updated);
-  EXPECT_EQ(g.edge_properties(0), updated);
-}
-
 TEST(PropertyGraphTest, MixingStructureAndPropertiesThrows) {
   PropertyGraph g(2);
   g.add_edge(0, 1);
@@ -89,19 +81,6 @@ TEST(PropertyGraphTest, MixingStructureAndPropertiesThrows) {
   PropertyGraph h(2);
   h.add_edge(0, 1, EdgeProperties{});
   EXPECT_THROW(h.add_edge(1, 0), CsbError);
-}
-
-TEST(PropertyGraphTest, EnsureAndDropProperties) {
-  PropertyGraph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  EXPECT_FALSE(g.has_properties());
-  g.ensure_properties();
-  EXPECT_TRUE(g.has_properties());
-  EXPECT_EQ(g.edge_properties(0), EdgeProperties{});
-  g.drop_properties();
-  EXPECT_FALSE(g.has_properties());
-  EXPECT_EQ(g.num_edges(), 2u);
 }
 
 TEST(PropertyGraphTest, SelfLoopsAndMultiEdgesAllowed) {
@@ -114,12 +93,65 @@ TEST(PropertyGraphTest, SelfLoopsAndMultiEdgesAllowed) {
 
 TEST(PropertyGraphTest, MemoryBytesScalesWithEdges) {
   PropertyGraph g(10);
-  for (int i = 0; i < 10; ++i) g.add_edge(0, 1);
+  PropertyGraph h(10);
+  for (int i = 0; i < 10; ++i) {
+    g.add_edge(0, 1);
+    h.add_edge(0, 1, sample_props());
+  }
   EXPECT_EQ(g.memory_bytes(), 10 * PropertyGraph::bytes_per_edge(false));
-  g.ensure_properties();
-  EXPECT_EQ(g.memory_bytes(), 10 * PropertyGraph::bytes_per_edge(true));
-  EXPECT_GT(PropertyGraph::bytes_per_edge(true),
-            PropertyGraph::bytes_per_edge(false));
+  EXPECT_EQ(h.memory_bytes(), 10 * PropertyGraph::bytes_per_edge(true));
+  EXPECT_EQ(PropertyGraph::bytes_per_edge(true),
+            PropertyGraph::bytes_per_edge(false) + 34);
+}
+
+// ------------------------------------------------------- PropertyColumns
+
+TEST(PropertyColumnsTest, SetRowOverwrites) {
+  PropertyColumns columns;
+  columns.push_back(EdgeProperties{});
+  columns.push_back(EdgeProperties{});
+  columns.set_row(1, sample_props());
+  EXPECT_EQ(columns.row(0), EdgeProperties{});
+  EXPECT_EQ(columns.row(1), sample_props());
+}
+
+TEST(PropertyColumnsTest, ViewWindowsEveryColumn) {
+  PropertyColumns columns;
+  for (std::uint16_t i = 0; i < 5; ++i) {
+    EdgeProperties props = sample_props();
+    props.src_port = i;
+    props.in_pkts = 10u * i;
+    columns.push_back(props);
+  }
+  const PropertyRowsView view = columns.view(1, 3);
+  EXPECT_EQ(view.size(), 3u);
+  std::size_t visited = 0;
+  view.for_each_column([&](const auto& column) {
+    EXPECT_EQ(column.size(), 3u);
+    ++visited;
+  });
+  EXPECT_EQ(visited, 9u);
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(view.row(i), columns.row(1 + i));
+}
+
+// The visitor walks the columns in the layout order of the on-disk
+// formats: PROTOCOL, SRC_PORT, ..., STATE (paper §III), 34 bytes a row.
+TEST(PropertyColumnsTest, ColumnsVisitInSchemaOrder) {
+  PropertyColumns columns;
+  columns.push_back(sample_props());
+  std::vector<std::size_t> widths;
+  std::vector<const void*> data;
+  columns.for_each_column([&](const auto& column) {
+    widths.push_back(sizeof(column[0]));
+    data.push_back(column.data());
+  });
+  EXPECT_EQ(widths, (std::vector<std::size_t>{1, 2, 2, 4, 8, 8, 4, 4, 1}));
+  EXPECT_EQ(data.front(), columns.protocol.data());
+  EXPECT_EQ(data[1], columns.src_port.data());
+  EXPECT_EQ(data[3], columns.duration_ms.data());
+  EXPECT_EQ(data[6], columns.out_pkts.data());
+  EXPECT_EQ(data.back(), columns.state.data());
+  EXPECT_EQ(PropertyColumns::kRowBytes, 34u);
 }
 
 TEST(PropertyGraphTest, EdgeIdOutOfRangeThrows) {

@@ -2,10 +2,13 @@
 // step, the p(a | IN_BYTES) factorization, and the full PCAP pipeline.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
 
+#include "flow/netflow_io.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/graph_io.hpp"
 #include "obs/trace.hpp"
@@ -262,6 +265,36 @@ TEST(SeedProfileIoTest, FileRoundTripAndErrors) {
   EXPECT_THROW(SeedProfile::load(half), CsbError);
 }
 
+// Every truncation of a valid profile file either loads or is rejected as
+// bad input naming the file and a byte offset — never as a failed internal
+// check.
+TEST(SeedProfileIoTest, TruncationSweepNamesFileAndOffset) {
+  const SeedBundle bundle = build_seed_from_netflow(tiny_records());
+  std::stringstream full;
+  bundle.profile.save(full);
+  const std::string bytes = full.str();
+  const std::string path = ::testing::TempDir() + "/csb_profile_sweep.bin";
+  std::size_t loaded = 0;
+  for (std::size_t length = 0; length <= bytes.size(); ++length) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(length));
+    }
+    try {
+      (void)SeedProfile::load_file(path);
+      ++loaded;
+    } catch (const CsbError& error) {
+      const std::string message = error.what();
+      EXPECT_EQ(message.rfind("bad seed profile " + path + ": byte ", 0), 0u)
+          << "length " << length << ": " << message;
+      EXPECT_EQ(message.find("CSB_CHECK failed"), std::string::npos)
+          << "length " << length << ": " << message;
+    }
+  }
+  EXPECT_EQ(loaded, 1u) << "only the whole file should load";
+  std::remove(path.c_str());
+}
+
 // ------------------------------------------------------ pool determinism
 
 std::string serialized_bundle(const SeedBundle& bundle) {
@@ -361,6 +394,41 @@ TEST(SeedPipelineTest, PcapFileRoundTrip) {
   write_pcap_file(path, packets);
   const SeedBundle bundle = build_seed_from_pcap_file(path);
   EXPECT_GT(bundle.graph.num_edges(), 50u);
+}
+
+// The ingest reader is chosen by the file's first four bytes, never by its
+// name: a capture named .cap is a capture, a CSV named .pcap is a CSV.
+TEST(FlowsFromFileTest, PicksReaderByContent) {
+  TrafficModelConfig config;
+  config.benign_sessions = 60;
+  const auto sessions = TrafficModel(config).generate_benign();
+  const std::string capture = ::testing::TempDir() + "/csb_flows_test.cap";
+  write_pcap_file(capture, sessions_to_packets(sessions));
+  EXPECT_EQ(flows_from_file(capture), flows_from_pcap_file(capture));
+
+  const std::string csv = ::testing::TempDir() + "/csb_flows_test_csv.pcap";
+  const auto records = sessions_to_netflow(sessions);
+  save_netflow_csv_file(records, csv);
+  EXPECT_EQ(flows_from_file(csv), load_netflow_csv_file(csv));
+}
+
+TEST(FlowsFromFileTest, DirectoryAndUnreadablePathNameThePath) {
+  const auto message_of = [](const std::string& path) {
+    try {
+      (void)flows_from_file(path);
+    } catch (const CsbError& error) {
+      return std::string(error.what());
+    }
+    return std::string("no error");
+  };
+  const std::string dir = ::testing::TempDir();
+  EXPECT_NE(message_of(dir).find("cannot read flows from " + dir),
+            std::string::npos)
+      << message_of(dir);
+  const std::string missing = dir + "/csb_flows_test_missing.csv";
+  EXPECT_NE(message_of(missing).find("cannot read flows from " + missing),
+            std::string::npos)
+      << message_of(missing);
 }
 
 }  // namespace

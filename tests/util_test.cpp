@@ -2,9 +2,13 @@
 // hashing, error macros.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <fstream>
 #include <functional>
 #include <latch>
 #include <memory>
@@ -15,11 +19,13 @@
 #include <vector>
 
 #include "util/error.hpp"
+#include "util/file_mapping.hpp"
 #include "util/flat_set.hpp"
 #include "util/format.hpp"
 #include "util/hash.hpp"
 #include "util/parallel.hpp"
 #include "util/random.hpp"
+#include "util/scoped_fd.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
 
@@ -509,6 +515,40 @@ TEST(StopwatchTest, MeasuresElapsedTime) {
   EXPECT_GE(sw.millis(), 15.0);
   sw.restart();
   EXPECT_LT(sw.millis(), 15.0);
+}
+
+// ------------------------------------------------------------ FileMapping
+
+TEST(FileMappingTest, MapsFileAndMovesOwnership) {
+  const std::string path = ::testing::TempDir() + "/csb_file_mapping.bin";
+  std::ofstream(path, std::ios::binary) << "mapped bytes";
+  const ScopedFd fd(::open(path.c_str(), O_RDONLY));
+  ASSERT_GE(fd.fd, 0);
+  FileMapping first(fd.fd, 12, path);
+  FileMapping second(std::move(first));
+  EXPECT_TRUE(first.bytes().empty());
+  ASSERT_EQ(second.bytes().size(), 12u);
+  EXPECT_EQ(std::string(second.bytes().begin(), second.bytes().end()),
+            "mapped bytes");
+  std::remove(path.c_str());
+}
+
+// A descriptor opened write-only cannot be mapped for reading: the error
+// names the file.
+TEST(FileMappingTest, FailedMapNamesFile) {
+  const std::string path = ::testing::TempDir() + "/csb_file_mapping_wo.bin";
+  std::ofstream(path, std::ios::binary) << "bytes";
+  const ScopedFd fd(::open(path.c_str(), O_WRONLY));
+  ASSERT_GE(fd.fd, 0);
+  try {
+    FileMapping mapping(fd.fd, 5, path);
+    ADD_FAILURE() << "mapping a write-only descriptor succeeded";
+  } catch (const CsbError& error) {
+    EXPECT_NE(std::string(error.what()).find("cannot map " + path),
+              std::string::npos)
+        << error.what();
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

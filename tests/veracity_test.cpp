@@ -2,6 +2,7 @@
 // the key paper trend — scores shrink as the synthetic graph grows.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "gen/fast_samplers.hpp"
@@ -305,11 +306,9 @@ TEST(AttributeVeracityTest, DetectsCorruptedAttribute) {
   const SeedBundle seed = make_seed();
   PropertyGraph corrupted = seed.graph;
   // Re-point every flow at one port: the DEST_PORT distribution collapses.
-  for (EdgeId e = 0; e < corrupted.num_edges(); ++e) {
-    EdgeProperties p = corrupted.edge_properties(e);
-    p.dst_port = 4444;
-    corrupted.set_edge_properties(e, p);
-  }
+  PropertyColumns props = corrupted.properties();
+  std::fill(props.dst_port.begin(), props.dst_port.end(), 4444);
+  corrupted.attach_properties(std::move(props));
   const auto report = evaluate_attribute_veracity(seed.graph, corrupted);
   const auto& dst_port_score =
       report.scores[static_cast<std::size_t>(NetflowAttribute::kDstPort)];

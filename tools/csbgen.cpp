@@ -225,14 +225,6 @@ commands:
 )";
 }
 
-std::vector<NetflowRecord> load_flows(const std::string& path,
-                                      ThreadPool* pool = nullptr) {
-  if (path.size() > 5 && path.substr(path.size() - 5) == ".pcap") {
-    return flows_from_pcap_file(path, pool);
-  }
-  return load_netflow_csv_file(path);
-}
-
 int cmd_trace(const Args& args) {
   args.require_known("trace",
                      {"out", "sessions", "clients", "servers", "seed",
@@ -324,7 +316,7 @@ int cmd_seed(const Args& args) {
   MetricsRegistry::instance().reset_all();
 
   // --trace: the seed pipeline has no ClusterSim, so its phases attach via
-  // the process-wide recorder slot (see flows_from_pcap_file).
+  // the process-wide recorder slot (see flows_from_file).
   std::unique_ptr<TraceRecorder> recorder;
   if (args.has("trace")) {
     recorder = std::make_unique<TraceRecorder>();
@@ -338,7 +330,7 @@ int cmd_seed(const Args& args) {
   std::vector<NetflowRecord> flows;
   {
     PhaseScope phase(recorder.get(), "seed:load");
-    flows = load_flows(in, pool.get());
+    flows = flows_from_file(in, pool.get());
   }
   PropertyGraph graph;
   {
@@ -717,11 +709,11 @@ int cmd_detect(const Args& args) {
   args.require_known("detect", {"in", "baseline", "window-s"});
   const std::string in = args.get("in", "");
   CSB_CHECK_MSG(!in.empty(), "detect requires --in=<flows.csv|capture.pcap>");
-  const auto flows = load_flows(in);
+  const auto flows = flows_from_file(in);
 
   DetectionThresholds thresholds;
   if (args.has("baseline")) {
-    const auto baseline = load_flows(args.get("baseline", ""));
+    const auto baseline = flows_from_file(args.get("baseline", ""));
     thresholds = calibrate_thresholds(
         baseline, CalibrationOptions{.quantile = 0.995, .margin = 2.5});
     std::cout << "calibrated on " << baseline.size() << " baseline flows\n";
