@@ -11,7 +11,6 @@
 #include "common.hpp"
 #include "gen/pgpba.hpp"
 #include "gen/pgsk.hpp"
-#include "mr/dataset.hpp"
 #include "util/format.hpp"
 
 namespace {

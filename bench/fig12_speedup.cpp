@@ -2,8 +2,11 @@
 // size.
 //
 // Paper shape: PGPBA is near the ideal linear speedup; PGSK scales
-// linearly too but sits further from ideal — its distinct() shuffle/merge
-// and the driver-side KronFit are the serial components.
+// linearly too but sits further from ideal — its dedup barrier and the
+// driver-side KronFit are the serial components. Here the serial breakdown
+// names them: the dedup seal (store:distinct:seal), the store:begin prefix
+// sum and header, KronFit's Metropolis chain (kronfit:driver), the
+// collapse planner (collapse:plan), and whatever else the driver ran.
 //
 // Node model: 2 virtual cores per node (scaled down from the paper's 12)
 // so each task carries enough real work for stable timing on the host
@@ -21,7 +24,7 @@ int main(int argc, char** argv) {
   using namespace csb;
   print_experiment_header(
       "Fig. 12 — strong-scaling speedup (fixed size, 10..60 nodes)",
-      "PGPBA near-ideal; PGSK linear but below ideal (dedup shuffle + "
+      "PGPBA near-ideal; PGSK linear but below ideal (dedup barrier + "
       "driver-side KronFit).");
 
   const SeedBundle seed = bench::default_seed(bench::scaled(20'000));
@@ -94,8 +97,8 @@ int main(int argc, char** argv) {
                      "pgsk_speedup", "ideal"});
   ReportTable serial_table(
       "PGSK driver-serial breakdown (best repeat, seconds)",
-      {"nodes", "collapse_s", "kronfit_s", "other_serial_s",
-       "serial_fraction"});
+      {"nodes", "collapse_s", "kronfit_s", "dedup_seal_s", "begin_s",
+       "other_serial_s", "serial_fraction"});
   for (const std::size_t nodes : {10, 20, 30, 40, 50, 60}) {
     const double pgpba_s = run_pgpba(nodes);
     const JobMetrics pgsk_metrics = run_pgsk(nodes);
@@ -111,20 +114,22 @@ int main(int argc, char** argv) {
 
     const double collapse_s = segment_seconds(pgsk_metrics, "collapse");
     const double kronfit_s = segment_seconds(pgsk_metrics, "kronfit");
-    const double other_s =
-        pgsk_metrics.serial_seconds - collapse_s - kronfit_s;
+    const double seal_s = segment_seconds(pgsk_metrics, "store:distinct");
+    const double begin_s = segment_seconds(pgsk_metrics, "store:begin");
+    const double other_s = pgsk_metrics.serial_seconds - collapse_s -
+                           kronfit_s - seal_s - begin_s;
     serial_table.add_row(
         {cell_u64(nodes), cell_fixed(collapse_s, 3), cell_fixed(kronfit_s, 3),
-         cell_fixed(other_s, 3),
+         cell_fixed(seal_s, 3), cell_fixed(begin_s, 3), cell_fixed(other_s, 3),
          cell_fixed(pgsk_metrics.serial_seconds / pgsk_s, 3)});
   }
   table.print();
   std::cout << "\n(speedups relative to 10 nodes; ideal = nodes/10)\n\n";
   serial_table.print();
   std::cout << "\n(the serial fraction bounds PGSK's achievable speedup; "
-               "collapse/kronfit columns aggregate serial segments by name "
-               "prefix — their stage decomposition left mostly planning "
-               "and the Metropolis chain on the driver)\n";
+               "columns aggregate serial segments by name prefix: "
+               "collapse:*, kronfit:*, store:distinct:seal, store:begin, "
+               "and the rest, e.g. store:finalize)\n";
   if (const std::string json = json_output_path(argc, argv); !json.empty()) {
     write_trace_report(json, "fig12_speedup", {&table, &serial_table});
     std::cout << "wrote " << json << " (csb.trace.v1)\n";

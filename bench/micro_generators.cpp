@@ -1,7 +1,8 @@
 // Micro benchmarks (google-benchmark) for the per-edge costs behind the
 // paper's O(|E| x |properties|) complexity claims: alias sampling, the
 // property tuple draw, the preferential-attachment stage, the Kronecker
-// recursive descent, distinct() dedup, KronFit, and a PageRank iteration.
+// recursive descent, the ExternalDistinct dedup, KronFit, and a PageRank
+// iteration.
 //
 // `--json FILE` (or `--json=FILE`) writes one csb.trace.v1 bench record per
 // benchmark to FILE in addition to the console output (same schema as the
@@ -17,6 +18,7 @@
 
 #include "obs/trace.hpp"
 
+#include "dedup_kernel.hpp"
 #include "gen/generator.hpp"
 #include "gen/kronecker.hpp"
 #include "gen/kronfit.hpp"
@@ -24,7 +26,6 @@
 #include "graph/algorithms.hpp"
 #include "graph/betweenness.hpp"
 #include "graph/pagerank.hpp"
-#include "mr/dataset.hpp"
 #include "seed/seed.hpp"
 #include "stats/alias_table.hpp"
 #include "trace/traffic_model.hpp"
@@ -65,35 +66,23 @@ void BM_PropertyTupleSample(benchmark::State& state) {
 BENCHMARK(BM_PropertyTupleSample);
 
 void BM_KroneckerDescent(benchmark::State& state) {
-  // One recursive descent = one synthetic edge placement at order k.
+  // Recursive descents at order k through PGSK's own kernel, one fixed-size
+  // chunk per iteration; each descent is one synthetic edge placement.
+  constexpr std::size_t kChunk = 1024;
   const auto k = static_cast<std::uint32_t>(state.range(0));
-  Initiator initiator;
-  const double sum = initiator.sum();
-  const double p00 = initiator.theta[0][0] / sum;
-  const double p01 = initiator.theta[0][1] / sum;
-  const double p10 = initiator.theta[1][0] / sum;
-  Rng rng(3);
+  const DescentCells cells = descent_cells(Initiator{});
+  std::vector<std::uint64_t> keys(kChunk);
+  std::size_t chunk_index = 0;
   for (auto _ : state) {
-    VertexId u = 0;
-    VertexId v = 0;
-    for (std::uint32_t level = 0; level < k; ++level) {
-      const double x = rng.uniform_double();
-      std::uint64_t i = 1;
-      std::uint64_t j = 1;
-      if (x < p00) {
-        i = 0;
-        j = 0;
-      } else if (x < p00 + p01) {
-        i = 0;
-      } else if (x < p00 + p01 + p10) {
-        j = 0;
-      }
-      u = (u << 1) | i;
-      v = (v << 1) | j;
-    }
-    benchmark::DoNotOptimize(u + v);
+    descend_chunk(cells, k, /*stream_seed=*/3,
+                  ChunkRange{.begin = 0, .end = kChunk,
+                             .chunk_index = chunk_index++},
+                  keys.data());
+    benchmark::DoNotOptimize(keys.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kChunk));
 }
 BENCHMARK(BM_KroneckerDescent)->Arg(16)->Arg(24)->Arg(32);
 
@@ -133,18 +122,18 @@ void BM_KronFit(benchmark::State& state) {
 BENCHMARK(BM_KronFit)->Unit(benchmark::kMillisecond);
 
 void BM_DistinctDedup(benchmark::State& state) {
+  // PGSK's dedup: 100k packed edge keys added by 8 stage tasks into the
+  // in-RAM ExternalDistinct, then sealed.
   ClusterSim cluster(ClusterConfig{.nodes = 1, .cores_per_node = 2});
-  Rng rng(4);
-  std::vector<Edge> edges(100'000);
-  for (auto& e : edges) {
-    e = Edge{rng.uniform(1 << 12), rng.uniform(1 << 12)};
-  }
-  const auto ds = Dataset<Edge>::from_vector(cluster, edges, 8);
+  const std::vector<std::vector<std::uint64_t>> batches =
+      bench::dedup_key_batches();
+  std::uint64_t keys = 0;
+  for (const auto& batch : batches) keys += batch.size();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ds.distinct(edge_key).count());
+    benchmark::DoNotOptimize(bench::dedup_keys(cluster, batches));
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(edges.size()));
+                          static_cast<std::int64_t>(keys));
 }
 BENCHMARK(BM_DistinctDedup)->Unit(benchmark::kMillisecond);
 

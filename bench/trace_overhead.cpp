@@ -1,9 +1,9 @@
 // Trace-overhead micro bench: the observability layer must be close to free
 // when a recorder is attached and *exactly* a pointer test when it is not
 // (src/obs/trace.hpp's null-recorder contract). This harness times two hot
-// kernels — the distinct() shuffle/merge dedup and a driver-serial KronFit
-// segment — with the ClusterSim recorder detached and attached, and reports
-// the attached overhead as a percentage.
+// kernels — PGSK's ExternalDistinct dedup (stage-task adds, then seal) and
+// a driver-serial KronFit segment — with the ClusterSim recorder detached
+// and attached, and reports the attached overhead as a percentage.
 //
 // `--assert` exits non-zero when the attached overhead exceeds the threshold
 // (default 15%, generous for 1-core CI noise; typical overhead is <1%);
@@ -18,13 +18,12 @@
 #include <vector>
 
 #include "bench_support/report.hpp"
+#include "dedup_kernel.hpp"
 #include "gen/baselines.hpp"
 #include "gen/generator.hpp"
 #include "gen/kronfit.hpp"
 #include "graph/algorithms.hpp"
-#include "mr/dataset.hpp"
 #include "obs/trace.hpp"
-#include "util/random.hpp"
 
 namespace csb {
 namespace {
@@ -119,18 +118,15 @@ int main(int argc, char** argv) {
 
   ClusterSim cluster(ClusterConfig{.nodes = 1, .cores_per_node = 2});
 
-  // Kernel 1: distinct() dedup, the shuffle/merge stage pair that dominates
-  // PGSK's parallel phases (same shape as BM_DistinctDedup).
-  Rng rng(4);
-  std::vector<Edge> edges(100'000);
-  for (auto& e : edges) {
-    e = Edge{rng.uniform(1 << 12), rng.uniform(1 << 12)};
-  }
-  const auto ds = Dataset<Edge>::from_vector(cluster, edges, 8);
+  // Kernel 1: PGSK's dedup — 8 store:distinct tasks add 100k packed edge
+  // keys to an ExternalDistinct, then store:distinct:seal (same kernel as
+  // BM_DistinctDedup).
+  const std::vector<std::vector<std::uint64_t>> batches =
+      bench::dedup_key_batches();
   std::uint64_t sink = 0;
   const KernelResult distinct_result =
       measure("distinct_dedup_100k", cluster, reps,
-              [&] { sink += ds.distinct(edge_key).count(); });
+              [&] { sink += bench::dedup_keys(cluster, batches); });
 
   // Kernel 2: KronFit inside run_serial — the driver-serial Amdahl segment
   // of every PGSK run (fig09/fig12 fit options).

@@ -7,8 +7,8 @@
 #     driver raises serial_fraction and fails here long before anyone reruns
 #     the full fig12 node sweep.
 #   - bench/trace_overhead   — the detached-recorder medians for the two hot
-#     kernels; catches gross slowdowns of the distinct()/KronFit paths
-#     themselves.
+#     kernels; catches gross slowdowns of PGSK's ExternalDistinct dedup and
+#     of KronFit themselves.
 #   - bench/seed_ingest      — end-to-end seed ingestion (decode -> flows ->
 #     graph -> profile) serial and on an 8-thread pool. Catches a stage that
 #     quietly falls back to serial (speedup collapses vs baseline) and gross

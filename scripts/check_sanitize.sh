@@ -6,7 +6,8 @@
 #
 # Configures a dedicated ASan+UBSan build tree (build-asan/) and runs the
 # concurrency- and allocation-heavy test subset under the sanitizers: the
-# ClusterSim stage runner, Dataset kernels (distinct/shuffle/concat), the
+# ClusterSim stage runner, Dataset kernels (sample/coalesce/concat_move)
+# and the ExternalDistinct dedup fed by concurrent stage tasks, the
 # thread pool, the flat hash set, the list scheduler, and the observability
 # layer (trace recorder, metrics registry, NDJSON parser, generator
 # registry), the pcap parser's malformed-input tests (the truncation/flip

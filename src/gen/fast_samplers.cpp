@@ -219,8 +219,8 @@ StoreGenResult pgsk_fast_generate_into(const PropertyGraph& seed_graph,
       }
     } else {
       // Opt-in distinct: ball-drop placements deduped through the
-      // external-sort distinct (the out-of-core stand-in for exact PGSK's
-      // distinct()), then re-multiplied in sorted-unique key order.
+      // external-sort distinct (the dedup exact PGSK's descent uses), then
+      // re-multiplied in sorted-unique key order.
       CSB_CHECK_MSG(fitted.plan.k <= 32,
                     "dedup packs endpoints into 64-bit keys (k <= 32)");
       ExternalDistinct distinct(ExternalDistinctOptions{

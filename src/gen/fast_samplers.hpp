@@ -102,9 +102,9 @@ struct PgskFastOptions {
   /// Noisy-SKG per-level amplitude in [0, 0.5); 0 = clean Chung-Lu mixture.
   double noise = 0.0;
   /// Drop duplicate ball-drop placements through an external-sort distinct
-  /// before re-multiply — the out-of-core stand-in for exact PGSK's
-  /// distinct(). Changes the edge stream (sorted unique placements), so it
-  /// is opt-in.
+  /// before re-multiply — the same ExternalDistinct exact PGSK's descent
+  /// dedups through. Changes the edge stream (sorted unique placements), so
+  /// it is opt-in.
   bool dedup = false;
   /// In-RAM budget of the dedup distinct before sorted runs spill to disk.
   std::uint64_t dedup_budget_bytes = 256ULL << 20;

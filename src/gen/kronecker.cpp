@@ -1,98 +1,123 @@
 #include "gen/kronecker.hpp"
 
-#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <vector>
 
+#include "gen/fast_samplers.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
+#include "util/random.hpp"
 
 namespace csb {
 
-Dataset<Edge> stochastic_kronecker_edges(
-    ClusterSim& cluster, const StochasticKroneckerOptions& options) {
-  CSB_CHECK_MSG(options.k >= 1 && options.k < 63, "kronecker order out of range");
-  const std::size_t partitions =
-      options.partitions != 0 ? options.partitions
-                              : std::max<std::size_t>(
-                                    1, cluster.config().total_cores() * 2);
-  const std::uint64_t target =
-      options.edges_to_place != 0
-          ? options.edges_to_place
-          : static_cast<std::uint64_t>(
-                std::llround(options.initiator.expected_edges(options.k)));
-  CSB_CHECK_MSG(target > 0, "nothing to generate (zero expected edges)");
-  // A k-level descent can only produce 4^k distinct cells; demanding close
-  // to that many distinct edges would loop forever.
-  if (options.k < 31) {
-    CSB_CHECK_MSG(target <= (1ULL << (2 * options.k)),
-                  "edges_to_place exceeds the 4^k distinct-edge capacity");
-  }
+namespace {
 
-  // Cell probabilities of one descent level.
-  const double sum = options.initiator.sum();
-  const double p00 = options.initiator.theta[0][0] / sum;
-  const double p01 = options.initiator.theta[0][1] / sum;
-  const double p10 = options.initiator.theta[1][0] / sum;
+/// Domain separator for the recursive-descent placement streams (so they
+/// never collide with the re-multiply / property streams of the same user
+/// seed), and the per-round separator of the adaptive retries.
+constexpr std::uint64_t kDescentSalt = 0xde5c'e9d0'0000'0001ULL;
+constexpr std::uint64_t kRoundSalt = 0x51ed2701ULL;
+/// Oversample factor and retry cap of the adaptive distinct rounds.
+constexpr double kOversample = 1.1;
+constexpr std::uint32_t kMaxRounds = 64;
 
-  const auto descend = [&](Rng& rng) {
+}  // namespace
+
+DescentCells descent_cells(const Initiator& initiator) {
+  const double sum = initiator.sum();
+  return DescentCells{.p00 = initiator.theta[0][0] / sum,
+                      .p01 = initiator.theta[0][1] / sum,
+                      .p10 = initiator.theta[1][0] / sum};
+}
+
+void descend_chunk(const DescentCells& cells, std::uint32_t k,
+                   std::uint64_t stream_seed, const ChunkRange& chunk,
+                   std::uint64_t* keys) {
+  Rng rng = counter_rng(stream_seed, chunk.chunk_index);
+  for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
     VertexId u = 0;
     VertexId v = 0;
-    for (std::uint32_t level = 0; level < options.k; ++level) {
+    for (std::uint32_t level = 0; level < k; ++level) {
       const double x = rng.uniform_double();
-      std::uint64_t i;
-      std::uint64_t j;
-      if (x < p00) {
-        i = 0; j = 0;
-      } else if (x < p00 + p01) {
-        i = 0; j = 1;
-      } else if (x < p00 + p01 + p10) {
-        i = 1; j = 0;
+      std::uint64_t bi;
+      std::uint64_t bj;
+      if (x < cells.p00) {
+        bi = 0; bj = 0;
+      } else if (x < cells.p00 + cells.p01) {
+        bi = 0; bj = 1;
+      } else if (x < cells.p00 + cells.p01 + cells.p10) {
+        bi = 1; bj = 0;
       } else {
-        i = 1; j = 1;
+        bi = 1; bj = 1;
       }
-      u = (u << 1) | i;
-      v = (v << 1) | j;
+      u = (u << 1) | bi;
+      v = (v << 1) | bj;
     }
-    return Edge{u, v};
-  };
-
-  static Counter& rounds_run = MetricsRegistry::instance().counter("kron.rounds");
-  Dataset<Edge> edges(cluster, std::vector<std::vector<Edge>>(partitions));
-  std::uint64_t have = 0;
-  for (std::uint32_t round = 0; round < options.max_rounds; ++round) {
-    rounds_run.increment();
-    const std::uint64_t missing = target - have;
-    const auto to_generate = static_cast<std::uint64_t>(
-        std::ceil(static_cast<double>(missing) * options.oversample));
-    const std::uint64_t per_part =
-        (to_generate + partitions - 1) / partitions;
-
-    Dataset<Edge> fresh = Dataset<Edge>::generate(
-        cluster, partitions, [&](std::size_t p) {
-          Rng rng = Rng(options.seed ^ (round * 0x51ed2701ULL)).fork(p);
-          std::vector<Edge> out;
-          out.reserve(per_part);
-          for (std::uint64_t i = 0; i < per_part; ++i) {
-            out.push_back(descend(rng));
-          }
-          return out;
-        });
-
-    // Move-union: the accumulated edge partitions are stolen, not copied
-    // (copying them again every round made the retry loop quadratic).
-    // Multi-round runs re-coalesce so the partition count stays bounded at
-    // 2x the configured width instead of growing by `partitions` per round;
-    // the common single-round case (concat yields exactly 2x) skips the
-    // extra stage entirely.
-    edges = Dataset<Edge>::concat_move(std::move(edges), std::move(fresh))
-                .distinct(edge_key)
-                .coalesced(2 * partitions);
-    have = edges.count();
-    if (have >= target) return edges;
+    keys[i - chunk.begin] = (u << 32) | (v & 0xffffffffULL);
   }
-  throw CsbError(
-      "stochastic Kronecker did not reach the target edge count; the "
-      "initiator is too concentrated for the requested size");
+}
+
+std::unique_ptr<ExternalDistinct> stochastic_kronecker_distinct(
+    ClusterSim& cluster, const Initiator& initiator, std::uint32_t k,
+    std::uint64_t target, std::uint64_t seed, std::size_t parts,
+    const ExternalDistinctOptions& distinct_options) {
+  CSB_CHECK_MSG(k >= 1 && k <= 32,
+                "the Kronecker descent packs endpoints into 64-bit keys "
+                "(1 <= k <= 32)");
+  CSB_CHECK_MSG(target > 0, "nothing to generate (zero target edges)");
+  // A k-level descent can only produce 4^k distinct cells; demanding close
+  // to that many distinct edges would loop forever.
+  if (k < 31) {
+    CSB_CHECK_MSG(target <= (1ULL << (2 * k)),
+                  "edges_to_place exceeds the 4^k distinct-edge capacity");
+  }
+  const DescentCells cells = descent_cells(initiator);
+
+  static Counter& rounds_run =
+      MetricsRegistry::instance().counter("kron.rounds");
+  static Counter& runs_spilled =
+      MetricsRegistry::instance().counter("store.distinct_spilled_runs");
+
+  // Adaptive rounds: place ceil(missing * oversample) descents per round
+  // until the distinct set reaches the target. A retry rebuilds the
+  // distinct and re-streams every round's placements — regeneration from
+  // counter streams is cheap, and at 1.1x oversampling retries are rare.
+  std::unique_ptr<ExternalDistinct> distinct;
+  std::vector<std::uint64_t> round_places;
+  std::uint64_t unique = 0;
+  for (std::uint32_t round = 0;; ++round) {
+    if (round >= kMaxRounds) {
+      throw CsbError(
+          "stochastic Kronecker did not reach the target edge count; the "
+          "initiator is too concentrated for the requested size");
+    }
+    rounds_run.increment();
+    const std::uint64_t missing = target - unique;
+    round_places.push_back(static_cast<std::uint64_t>(
+        std::ceil(static_cast<double>(missing) * kOversample)));
+    distinct = std::make_unique<ExternalDistinct>(distinct_options);
+    std::vector<std::function<void()>> tasks;
+    for (std::size_t r = 0; r < round_places.size(); ++r) {
+      const std::uint64_t stream_seed = seed ^ kDescentSalt ^ (r * kRoundSalt);
+      const auto chunks = make_fixed_chunks(
+          0, static_cast<std::size_t>(round_places[r]),
+          fast_sampler_chunk_size(round_places[r], parts));
+      for (const ChunkRange& chunk : chunks) {
+        tasks.push_back([&cells, &distinct, k, stream_seed, chunk] {
+          std::vector<std::uint64_t> keys(chunk.end - chunk.begin);
+          descend_chunk(cells, k, stream_seed, chunk, keys.data());
+          distinct->add(keys);
+        });
+      }
+    }
+    cluster.run_stage("store:distinct", std::move(tasks));
+    cluster.run_serial("store:distinct:seal", [&] {
+      unique = distinct->seal();
+      runs_spilled.add(distinct->spilled_runs());
+    });
+    if (unique >= target) return distinct;
+  }
 }
 
 PropertyGraph deterministic_kronecker(

@@ -3,17 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <optional>
+#include <memory>
 
-#include "gen/fast_samplers.hpp"
+#include "gen/kronecker.hpp"
 #include "gen/sink_stages.hpp"
 #include "graph/algorithms.hpp"
-#include "mr/dataset.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "store/external_sort.hpp"
 #include "util/error.hpp"
-#include "util/random.hpp"
 
 namespace csb {
 
@@ -126,65 +122,6 @@ PgskInitiatorPlan pgsk_fit_and_plan(const PropertyGraph& simple,
   return result;
 }
 
-namespace {
-
-/// Domain separator for the exact recursive-descent placement streams (so
-/// they never collide with the re-multiply / property streams of the same
-/// user seed), and the per-round separator of the adaptive retries.
-constexpr std::uint64_t kDescentSalt = 0xde5c'e9d0'0000'0001ULL;
-constexpr std::uint64_t kRoundSalt = 0x51ed2701ULL;
-/// Oversample factor and retry cap of the adaptive distinct rounds — the
-/// same policy stochastic_kronecker_edges uses.
-constexpr double kOversample = 1.1;
-constexpr std::uint32_t kMaxRounds = 64;
-
-/// Cumulative joint cell probabilities of one descent level.
-struct DescentCells {
-  double p00 = 0.0;
-  double p01 = 0.0;
-  double p10 = 0.0;
-};
-
-DescentCells descent_cells(const Initiator& initiator) {
-  const double sum = initiator.sum();
-  return DescentCells{.p00 = initiator.theta[0][0] / sum,
-                      .p01 = initiator.theta[0][1] / sum,
-                      .p10 = initiator.theta[1][0] / sum};
-}
-
-/// Fills keys[0 .. chunk size) with packed (src << 32 | dst) recursive-
-/// descent placements for the global placement indices in `chunk`, drawn
-/// from counter_rng(stream_seed, chunk.chunk_index) — the result depends on
-/// the chunk geometry, never on which worker ran it. Requires k <= 32.
-void descend_chunk(const DescentCells& cells, std::uint32_t k,
-                   std::uint64_t stream_seed, const ChunkRange& chunk,
-                   std::uint64_t* keys) {
-  Rng rng = counter_rng(stream_seed, chunk.chunk_index);
-  for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
-    VertexId u = 0;
-    VertexId v = 0;
-    for (std::uint32_t level = 0; level < k; ++level) {
-      const double x = rng.uniform_double();
-      std::uint64_t bi;
-      std::uint64_t bj;
-      if (x < cells.p00) {
-        bi = 0; bj = 0;
-      } else if (x < cells.p00 + cells.p01) {
-        bi = 0; bj = 1;
-      } else if (x < cells.p00 + cells.p01 + cells.p10) {
-        bi = 1; bj = 0;
-      } else {
-        bi = 1; bj = 1;
-      }
-      u = (u << 1) | bi;
-      v = (v << 1) | bj;
-    }
-    keys[i - chunk.begin] = (u << 32) | (v & 0xffffffffULL);
-  }
-}
-
-}  // namespace
-
 StoreGenResult pgsk_generate_into(const PropertyGraph& seed_graph,
                                   const SeedProfile& profile,
                                   ClusterSim& cluster,
@@ -207,81 +144,27 @@ StoreGenResult pgsk_generate_into(const PropertyGraph& seed_graph,
                  .force_k = options.force_k,
                  .rescale_to_target = options.rescale_to_target});
 
-  // Line 7: recursive-descent expansion with distinct() — streamed. Each
-  // round's placements regenerate from per-chunk counter streams, dedup
-  // through the budgeted external-sort distinct, and the ascending sorted-
+  // Line 7: recursive-descent placement, then de-duplication — streamed
+  // through the budgeted external-sort distinct. Its ascending sorted-
   // unique key order is the canonical edge order (pgsk_generate wraps this
   // function over a MemoryStore, so there is no second ordering to drift
   // from).
-  CSB_CHECK_MSG(fitted.plan.k <= 32,
-                "streamed exact PGSK packs endpoints into 64-bit keys "
-                "(k <= 32)");
-  const std::uint64_t target =
-      std::max<std::uint64_t>(1, fitted.plan.kron_edges);
-  if (fitted.plan.k < 31) {
-    CSB_CHECK_MSG(target <= (1ULL << (2 * fitted.plan.k)),
-                  "edges_to_place exceeds the 4^k distinct-edge capacity");
-  }
   const std::uint64_t n = 1ULL << fitted.plan.k;
   const std::uint64_t dup_seed = options.seed ^ 0xd0b1e5ULL;
-  const DescentCells cells = descent_cells(fitted.initiator);
   result.iterations = fitted.plan.k;
-
-  static Counter& rounds_run =
-      MetricsRegistry::instance().counter("kron.rounds");
-  static Counter& runs_spilled =
-      MetricsRegistry::instance().counter("store.distinct_spilled_runs");
 
   std::uint64_t total_edges = 0;
   {
     PhaseScope phase(trace, "store");
-
-    // Adaptive rounds: place ceil(missing * oversample) descents per round
-    // until the distinct set reaches the target. A retry rebuilds the
-    // distinct and re-streams every round's placements — regeneration from
-    // counter streams is cheap, and at 1.1x oversampling retries are rare.
-    // Round sizes derive only from sealed unique counts (pure functions of
-    // the key multiset), so the geometry is pool- and shard-invariant.
-    std::optional<ExternalDistinct> distinct;
-    std::vector<std::uint64_t> round_places;
-    std::uint64_t unique = 0;
-    for (std::uint32_t round = 0;; ++round) {
-      if (round >= kMaxRounds) {
-        throw CsbError(
-            "stochastic Kronecker did not reach the target edge count; the "
-            "initiator is too concentrated for the requested size");
-      }
-      rounds_run.increment();
-      const std::uint64_t missing = target - unique;
-      round_places.push_back(static_cast<std::uint64_t>(
-          std::ceil(static_cast<double>(missing) * kOversample)));
-      distinct.emplace(ExternalDistinctOptions{
-          .spill_directory = options.spill_directory,
-          .memory_budget_bytes = options.dedup_budget_bytes,
-          .pool = &cluster.pool()});
-      std::vector<std::function<void()>> tasks;
-      for (std::size_t r = 0; r < round_places.size(); ++r) {
-        const std::uint64_t stream_seed =
-            options.seed ^ kDescentSalt ^ (r * kRoundSalt);
-        const auto chunks = make_fixed_chunks(
-            0, static_cast<std::size_t>(round_places[r]),
-            fast_sampler_chunk_size(round_places[r], parts));
-        for (const ChunkRange& chunk : chunks) {
-          tasks.push_back([&cells, &distinct, &fitted, stream_seed, chunk] {
-            std::vector<std::uint64_t> keys(chunk.end - chunk.begin);
-            descend_chunk(cells, fitted.plan.k, stream_seed, chunk,
-                          keys.data());
-            distinct->add(keys);
-          });
-        }
-      }
-      cluster.run_stage("store:distinct", std::move(tasks));
-      cluster.run_serial("store:distinct:seal", [&] {
-        unique = distinct->seal();
-        runs_spilled.add(distinct->spilled_runs());
-      });
-      if (unique >= target) break;
-    }
+    const std::unique_ptr<ExternalDistinct> distinct =
+        stochastic_kronecker_distinct(
+            cluster, fitted.initiator, fitted.plan.k,
+            std::max<std::uint64_t>(1, fitted.plan.kron_edges), options.seed,
+            parts,
+            ExternalDistinctOptions{
+                .spill_directory = options.spill_directory,
+                .memory_budget_bytes = options.dedup_budget_bytes,
+                .pool = &cluster.pool()});
 
     // Count→prefix→emit over the sealed key stream, one task per scan
     // segment. Segment boundaries may vary with spill and pool counts, but

@@ -3,9 +3,9 @@
 // Pipeline:
 //   1. collapse the seed property-multigraph to a simple graph (lines 1-5);
 //   2. fit the 2x2 initiator with KronFit (line 6);
-//   3. expand by parallel recursive-descent Kronecker generation with
-//      distinct() de-duplication (line 7) — the order k is the smallest one
-//      whose expected output reaches the desired size;
+//   3. expand by parallel recursive-descent Kronecker placement, then
+//      de-duplication (line 7, gen/kronecker.hpp) — the order k is the
+//      smallest one whose expected output reaches the desired size;
 //   4. re-multiply every distinct edge by a draw from the seed's out-degree
 //      distribution, restoring the multigraph character (lines 8-12);
 //   5. sample NetFlow properties for every edge (lines 13-18).

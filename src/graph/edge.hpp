@@ -18,9 +18,10 @@ struct Edge {
   friend bool operator==(const Edge&, const Edge&) = default;
 };
 
-/// Identity key for Dataset::distinct and the per-edge re-multiply streams —
-/// exact for |V| < 2^32 (all our configurations), which is what makes
-/// distinct() a true set operation.
+/// Packed (src << 32 | dst) identity key — the key PGSK's Kronecker descent
+/// deduplicates and the per-edge re-multiply streams are seeded by. Exact
+/// for |V| < 2^32 (all our configurations), which is what makes the dedup
+/// a true set operation.
 inline std::uint64_t edge_key(const Edge& e) noexcept {
   return (e.src << 32) | (e.dst & 0xffffffffULL);
 }

@@ -1,15 +1,17 @@
 #include "graph/graph_io.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <array>
 #include <fstream>
 #include <istream>
 #include <iterator>
 #include <ostream>
 #include <sstream>
+#include <type_traits>
 #include <vector>
 
 #include "util/error.hpp"
+#include "util/input_reader.hpp"
 
 namespace csb {
 
@@ -23,14 +25,6 @@ void write_pod(std::ostream& out, const T& value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof value);
 }
 
-template <typename T>
-T read_pod(std::istream& in) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof value);
-  CSB_CHECK_MSG(in.good(), "truncated binary graph stream");
-  return value;
-}
-
 template <typename Column>
 void write_column(std::ostream& out, const Column& column) {
   out.write(reinterpret_cast<const char*>(column.data()),
@@ -39,12 +33,22 @@ void write_column(std::ostream& out, const Column& column) {
 
 /// Fills every row of the pre-sized `column` straight from the stream.
 template <typename Column>
-void read_column(std::istream& in, Column& column) {
+void read_column(InputReader& in, Column& column) {
   using T = typename Column::value_type;
-  const auto bytes = static_cast<std::streamsize>(column.size() * sizeof(T));
-  in.read(reinterpret_cast<char*>(column.data()), bytes);
-  CSB_CHECK_MSG(in.good() || (in.eof() && in.gcount() == bytes),
-                "truncated binary graph stream");
+  in.read_bytes(column.data(), column.size() * sizeof(T));
+}
+
+/// Fails at the byte of the first value in `column` (read from byte `at`)
+/// that `valid` rejects, naming the value after `what`.
+template <typename Column, typename Valid>
+void check_column(const InputReader& in, const Column& column,
+                  std::uint64_t at, Valid valid, const std::string& what) {
+  const auto bad = std::find_if_not(column.begin(), column.end(), valid);
+  if (bad != column.end()) {
+    in.fail(at + sizeof(*bad) * static_cast<std::uint64_t>(
+                                    bad - column.begin()),
+            what + ": " + std::to_string(static_cast<std::uint64_t>(*bad)));
+  }
 }
 
 bool known_protocol(Protocol p) {
@@ -91,39 +95,68 @@ void save_binary(const PropertyGraph& graph, std::ostream& out) {
   CSB_CHECK_MSG(out.good(), "failed writing binary graph stream");
 }
 
-PropertyGraph load_binary(std::istream& in) {
-  char magic[4];
-  in.read(magic, sizeof magic);
-  CSB_CHECK_MSG(in.good() && std::memcmp(magic, kMagic, sizeof kMagic) == 0,
-                "not a csb binary graph (bad magic)");
-  const auto version = read_pod<std::uint32_t>(in);
-  CSB_CHECK_MSG(version == kVersion, "unsupported binary graph version");
-  const auto vertices = read_pod<std::uint64_t>(in);
-  const auto edges = read_pod<std::uint64_t>(in);
-  const auto has_props = read_pod<std::uint8_t>(in);
-  // Plausibility caps keep a corrupted header from driving a huge
-  // allocation before the truncation check can fire.
-  CSB_CHECK_MSG(vertices <= (1ULL << 44) && edges <= (1ULL << 40),
-                "implausible graph size in binary stream");
+PropertyGraph load_binary(std::istream& stream, const std::string& name) {
+  InputReader in(stream, "binary graph", name);
+  const auto magic = in.read_pod<std::array<char, 4>>();
+  if (!std::equal(magic.begin(), magic.end(), kMagic)) {
+    in.fail(0, "not a csb binary graph (bad magic)");
+  }
+  const auto version = in.read_pod<std::uint32_t>();
+  if (version != kVersion) {
+    in.fail(4, "unsupported version " + std::to_string(version));
+  }
+  const auto vertices = in.read_pod<std::uint64_t>();
+  const auto edges = in.read_pod<std::uint64_t>();
+  const auto has_props = in.read_pod<std::uint8_t>();
+  if (vertices > (1ULL << 44)) {
+    in.fail(8, "implausible vertex count " + std::to_string(vertices));
+  }
+  if (has_props > 1) {
+    in.fail(24, "property flag " + std::to_string(has_props) +
+                    " is neither 0 nor 1");
+  }
+  // The columns must fill the rest of the input exactly. Checking this
+  // before allocating keeps one corrupted edge count from zero-filling
+  // gigabytes of columns that the first read would then reject.
+  const std::uint64_t row = PropertyGraph::bytes_per_edge(has_props != 0);
+  const std::uint64_t columns_at = in.offset();
+  const std::uint64_t remaining = in.remaining();
+  if (remaining % row != 0 || remaining / row != edges) {
+    const bool truncated = edges > remaining / row;
+    in.fail(columns_at + (truncated ? remaining : edges * row),
+            std::string(truncated ? "truncated" : "trailing bytes") +
+                ": the header's " + std::to_string(edges) + " edges need " +
+                std::to_string(row) + " bytes each, but " +
+                std::to_string(remaining) + " bytes follow the header");
+  }
 
   std::vector<VertexId> src(edges);
   std::vector<VertexId> dst(edges);
   read_column(in, src);
   read_column(in, dst);
+  const auto vertex = [vertices](VertexId v) { return v < vertices; };
+  const std::string outside =
+      " outside the " + std::to_string(vertices) + " vertices";
+  check_column(in, src, columns_at, vertex, "edge source" + outside);
+  check_column(in, dst, columns_at + sizeof(VertexId) * edges, vertex,
+               "edge destination" + outside);
   PropertyColumns props;
   if (has_props) {
     props.resize_for_overwrite(edges);
-    props.for_each_column([&in](auto& column) { read_column(in, column); });
-    // The enums' byte values, like the CSV reader's names, must be known.
-    CSB_CHECK_MSG(std::all_of(props.protocol.begin(), props.protocol.end(),
-                              known_protocol),
-                  "unknown protocol byte in binary graph stream");
-    CSB_CHECK_MSG(
-        std::all_of(props.state.begin(), props.state.end(), known_state),
-        "unknown conn state byte in binary graph stream");
+    props.for_each_column([&in](auto& column) {
+      const std::uint64_t at = in.offset();
+      read_column(in, column);
+      // The enums' byte values, like the CSV reader's names, must be known.
+      using T = typename std::decay_t<decltype(column)>::value_type;
+      if constexpr (std::is_same_v<T, Protocol>) {
+        check_column(in, column, at, known_protocol, "unknown protocol byte");
+      } else if constexpr (std::is_same_v<T, ConnState>) {
+        check_column(in, column, at, known_state, "unknown conn state byte");
+      }
+    });
   }
-  PropertyGraph graph =
-      PropertyGraph::from_columns(vertices, std::move(src), std::move(dst));
+  PropertyGraph graph = PropertyGraph::from_columns_unchecked(
+      vertices, std::move(src), std::move(dst));
   if (has_props) graph.attach_properties(std::move(props));
   return graph;
 }
@@ -136,12 +169,10 @@ void save_binary_file(const PropertyGraph& graph, const std::string& path) {
 
 PropertyGraph load_binary_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  CSB_CHECK_MSG(in.is_open(), "cannot open for reading: " << path);
-  try {
-    return load_binary(in);
-  } catch (const CsbError& error) {
-    throw CsbError("bad binary graph " + path + ": " + error.what());
+  if (!in.is_open()) {
+    throw CsbError("bad binary graph " + path + ": cannot open for reading");
   }
+  return load_binary(in, path);
 }
 
 void save_csv(const PropertyGraph& graph, std::ostream& out) {

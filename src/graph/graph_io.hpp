@@ -18,7 +18,12 @@
 namespace csb {
 
 void save_binary(const PropertyGraph& graph, std::ostream& out);
-PropertyGraph load_binary(std::istream& in);
+/// Reads a graph save_binary wrote. `in` must be seekable: the header's
+/// edge count is checked against the bytes that follow before any column
+/// is allocated. Malformed input throws CsbError("bad binary graph <name>:
+/// byte <offset>: <reason>"); load_binary_file names the file.
+PropertyGraph load_binary(std::istream& in,
+                          const std::string& name = "<stream>");
 void save_binary_file(const PropertyGraph& graph, const std::string& path);
 PropertyGraph load_binary_file(const std::string& path);
 

@@ -379,10 +379,10 @@ void run_atomic_float_reduce(const SourceFile& file, const Sink& emit) {
 const std::set<std::string, std::less<>>& families() {
   // Mirrors the stage-name table in docs/observability.md — keep in sync.
   static const std::set<std::string, std::less<>> set = {
-      "allocate-vertices", "attach",  "ball-drop",  "coalesce", "collapse",
-      "distinct",          "filter",  "flat_map",   "generate", "grow",
-      "kronfit",           "map",     "properties", "reduce",   "sample",
-      "seed",              "store",
+      "allocate-vertices", "attach",     "ball-drop", "coalesce",
+      "collapse",          "filter",     "flat_map",  "generate",
+      "grow",              "kronfit",    "map",       "properties",
+      "reduce",            "sample",     "seed",      "store",
   };
   return set;
 }

@@ -14,8 +14,8 @@
 //
 // This gives honest strong-scaling and throughput numbers on a single-core
 // container: the parallel structure (and the serial fractions, e.g. PGSK's
-// distinct() merge) comes from real measured work, only the placement is
-// virtual.
+// store:distinct:seal) comes from real measured work, only the placement
+// is virtual.
 //
 // Memory accounting: Dataset partitions are assigned to virtual nodes
 // round-robin; per-node dataset bytes plus a configurable platform

@@ -1,5 +1,7 @@
-// Dataset<T>: a partitioned, immutable collection — the RDD analogue the
-// generators run on (paper §III uses RDD.sample() and RDD.distinct()).
+// Dataset<T>: a partitioned, immutable collection — the RDD analogue PGPBA
+// and the Fig. 11/12 benches run on (paper §III uses RDD.sample()). PGSK's
+// de-duplication (Spark's RDD distinct) is the budgeted ExternalDistinct
+// (store/external_sort.hpp).
 //
 // Every transformation executes one stage per source partition on the
 // owning ClusterSim, so simulated makespan, serial time and per-node memory
@@ -16,8 +18,6 @@
 #include "mr/cluster.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
-#include "util/flat_set.hpp"
-#include "util/hash.hpp"
 #include "util/random.hpp"
 
 namespace csb {
@@ -137,28 +137,6 @@ class Dataset {
     return Dataset<U>(*cluster_, std::move(out));
   }
 
-  /// Sink-based flat_map: `fn(item, emit)` calls `emit(value)` zero or more
-  /// times per element, appending straight to the output partition. Use when
-  /// one element expands to many values — it removes the per-element
-  /// container that flat_map would allocate and move (the dominant cost of
-  /// PGSK's edge re-multiplication).
-  template <typename U, typename F>
-  Dataset<U> flat_map_into(F&& fn) const {
-    std::vector<std::vector<U>> out(partitions_.size());
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(partitions_.size());
-    for (std::size_t p = 0; p < partitions_.size(); ++p) {
-      tasks.push_back([this, &out, &fn, p] {
-        auto& sink = out[p];
-        sink.reserve(partitions_[p].size());  // >= 1 output per input typical
-        const auto emit = [&sink](U value) { sink.push_back(std::move(value)); };
-        for (const T& item : partitions_[p]) fn(item, emit);
-      });
-    }
-    cluster_->run_stage("flat_map", std::move(tasks));
-    return Dataset<U>(*cluster_, std::move(out));
-  }
-
   template <typename Pred>
   Dataset filter(Pred&& pred) const {
     std::vector<std::vector<T>> out(partitions_.size());
@@ -207,107 +185,10 @@ class Dataset {
     return Dataset(*cluster_, std::move(out));
   }
 
-  /// De-duplication by a caller-supplied identity key (RDD.distinct()).
-  /// `key_fn` must map equal elements to equal keys and distinct elements to
-  /// distinct keys (for edges: the packed (src, dst) pair), and should be
-  /// cheap — it runs up to three times per element. Implemented as a
-  /// two-pass counted shuffle (each source partition histograms its targets,
-  /// then counting-sorts into one exact-sized flat buffer) followed by a
-  /// per-target merge through an open-addressing flat set; the shuffle is
-  /// the source of PGSK's sub-ideal scaling. Requires T to be
-  /// default-constructible (the counting sort scatters into a pre-sized
-  /// buffer). The first occurrence of each key wins, in (partition, offset)
-  /// order, so output is deterministic.
-  template <typename KeyFn>
-  Dataset distinct(KeyFn&& key_fn) const {
-    const std::size_t parts = partitions_.size();
-    // Stage 1 (counted shuffle): per source partition, pass one histograms
-    // the target partition (hash % parts) of every element, pass two
-    // counting-sorts the elements into a single flat buffer grouped by
-    // target. One allocation per source partition instead of the parts^2
-    // vector-of-vectors grid the naive shuffle materializes.
-    std::vector<std::vector<T>> shuffled(parts);
-    std::vector<std::vector<std::size_t>> bounds(parts);
-    std::vector<std::function<void()>> shuffle_tasks;
-    shuffle_tasks.reserve(parts);
-    // The raw key picks the target through its LOW bits only (edge keys are
-    // packed (src << 32 | dst), so `key % parts` would shard by dst alone
-    // and skew the merge tasks); run it through the 64-bit mixer first so
-    // every key bit participates in the placement.
-    const auto target_of = [&key_fn, parts](const T& item) {
-      return mix64(key_fn(item)) % parts;
-    };
-    for (std::size_t p = 0; p < parts; ++p) {
-      shuffle_tasks.push_back(
-          [this, &shuffled, &bounds, &target_of, p, parts] {
-            const auto& in = partitions_[p];
-            auto& offset = bounds[p];  // offset[t]..offset[t+1] = target t
-            offset.assign(parts + 1, 0);
-            for (const T& item : in) ++offset[target_of(item) + 1];
-            for (std::size_t t = 0; t < parts; ++t) offset[t + 1] += offset[t];
-            std::vector<std::size_t> cursor(offset.begin(), offset.end() - 1);
-            auto& flat = shuffled[p];
-            flat.resize(in.size());
-            for (const T& item : in) {
-              flat[cursor[target_of(item)]++] = item;
-            }
-          });
-    }
-    cluster_->run_stage("distinct:shuffle", std::move(shuffle_tasks));
-
-    // Stage 2: per-target merge. The stage-1 histograms give the exact
-    // candidate count, so the output buffer and the dedup set are sized
-    // once, up front.
-    std::vector<std::vector<T>> out(parts);
-    std::vector<std::function<void()>> merge_tasks;
-    merge_tasks.reserve(parts);
-    for (std::size_t target = 0; target < parts; ++target) {
-      merge_tasks.push_back([&shuffled, &bounds, &out, &key_fn, target,
-                             parts] {
-        std::size_t candidates = 0;
-        for (std::size_t p = 0; p < parts; ++p) {
-          candidates += bounds[p][target + 1] - bounds[p][target];
-        }
-        FlatSet64 seen(candidates);
-        auto& kept = out[target];
-        kept.reserve(candidates);
-        for (std::size_t p = 0; p < parts; ++p) {
-          const std::size_t end = bounds[p][target + 1];
-          for (std::size_t i = bounds[p][target]; i < end; ++i) {
-            const T& item = shuffled[p][i];
-            if (seen.insert(key_fn(item))) kept.push_back(item);
-          }
-        }
-      });
-    }
-    cluster_->run_stage("distinct:merge", std::move(merge_tasks));
-    // Dedup-set hits (duplicates dropped) vs. misses (survivors) — post-stage
-    // arithmetic on partition sizes, no per-element accounting.
-    std::uint64_t kept = 0;
-    for (const auto& partition : out) kept += partition.size();
-    const std::uint64_t candidates = count();
-    static Counter& hits =
-        MetricsRegistry::instance().counter("dataset.distinct_hits");
-    static Counter& misses =
-        MetricsRegistry::instance().counter("dataset.distinct_misses");
-    hits.add(candidates - kept);
-    misses.add(kept);
-    return Dataset(*cluster_, std::move(out));
-  }
-
-  /// Concatenates two datasets (RDD.union); partition lists are joined.
-  Dataset concat(const Dataset& other) const {
-    CSB_CHECK_MSG(cluster_ == other.cluster_,
-                  "concat requires datasets on the same cluster");
-    std::vector<std::vector<T>> parts = partitions_;
-    parts.insert(parts.end(), other.partitions_.begin(),
-                 other.partitions_.end());
-    return Dataset(*cluster_, std::move(parts));
-  }
-
-  /// Move form of concat: steals both inputs' partitions (no element
-  /// copies). PGPBA unions the growing edge list every iteration, where the
-  /// copying concat would cost O(|E| x iterations).
+  /// Concatenates two datasets (RDD.union) by stealing both inputs'
+  /// partitions — no element copies. PGPBA unions the growing edge list
+  /// every iteration, where a copying union would cost O(|E| x
+  /// iterations).
   static Dataset concat_move(Dataset&& a, Dataset&& b) {
     CSB_CHECK_MSG(a.cluster_ == b.cluster_,
                   "concat requires datasets on the same cluster");

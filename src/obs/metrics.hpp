@@ -4,8 +4,8 @@
 // Producers resolve a counter once (the name lookup takes a mutex) and then
 // bump it with relaxed atomic adds, so instrumented hot paths pay one
 // uncontended atomic per *batch* of work, never a lock. The generators
-// publish: edges emitted, distinct() hits/misses, KronFit accept rate,
-// Kronecker retry rounds, and Dataset allocation bytes; the memory
+// publish: edges emitted, KronFit accept rate, Kronecker retry rounds,
+// spilled dedup runs, and Dataset allocation bytes; the memory
 // watermark sampler (obs/memwatch.hpp) publishes RSS gauges.
 #pragma once
 

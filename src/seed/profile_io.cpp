@@ -10,6 +10,7 @@
 
 #include "seed/seed.hpp"
 #include "util/error.hpp"
+#include "util/input_reader.hpp"
 
 namespace csb {
 
@@ -23,40 +24,6 @@ void write_pod(std::ostream& out, const T& value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof value);
 }
 
-/// Reads a profile stream field by field, counting bytes, so malformed
-/// input throws CsbError("bad seed profile <name>: byte <offset>:
-/// <reason>") with the offset of the field that failed.
-class ProfileReader {
- public:
-  ProfileReader(std::istream& in, const std::string& name)
-      : in_(in), name_(name) {}
-
-  [[nodiscard]] std::uint64_t offset() const noexcept { return offset_; }
-
-  template <typename T>
-  T read_pod() {
-    T value{};
-    in_.read(reinterpret_cast<char*>(&value), sizeof value);
-    if (!in_.good()) {
-      fail(offset_, "truncated (" + std::to_string(in_.gcount()) + " of " +
-                        std::to_string(sizeof value) + " bytes)");
-    }
-    offset_ += sizeof value;
-    return value;
-  }
-
-  [[noreturn]] void fail(std::uint64_t offset,
-                         const std::string& reason) const {
-    throw CsbError("bad seed profile " + name_ + ": byte " +
-                   std::to_string(offset) + ": " + reason);
-  }
-
- private:
-  std::istream& in_;
-  const std::string& name_;
-  std::uint64_t offset_ = 0;
-};
-
 void write_empirical(std::ostream& out, const EmpiricalDistribution& dist) {
   write_pod(out, static_cast<std::uint64_t>(dist.support_size()));
   for (std::size_t i = 0; i < dist.support_size(); ++i) {
@@ -65,17 +32,33 @@ void write_empirical(std::ostream& out, const EmpiricalDistribution& dist) {
   }
 }
 
-EmpiricalDistribution read_empirical(ProfileReader& in) {
+EmpiricalDistribution read_empirical(InputReader& in) {
   const std::uint64_t at = in.offset();
   const auto n = in.read_pod<std::uint64_t>();
   if (n == 0 || n > (1ULL << 32)) {
     in.fail(at, "implausible distribution size " + std::to_string(n));
   }
+  // Every field is checked here, at its own offset, so a corrupted profile
+  // never reaches from_weighted's invariant checks.
   std::vector<std::pair<double, double>> weighted;
+  double total = 0.0;
   for (std::uint64_t i = 0; i < n; ++i) {
+    const std::uint64_t value_at = in.offset();
     const double value = in.read_pod<double>();
+    if (!std::isfinite(value)) {
+      in.fail(value_at, "non-finite support value " + std::to_string(value));
+    }
+    const std::uint64_t prob_at = in.offset();
     const double prob = in.read_pod<double>();
+    if (!std::isfinite(prob) || prob < 0.0) {
+      in.fail(prob_at, "probability " + std::to_string(prob) +
+                           " is negative or non-finite");
+    }
+    total += prob;
     weighted.emplace_back(value, prob);
+  }
+  if (!(total > 0.0) || !std::isfinite(total)) {
+    in.fail(at, "probabilities sum to " + std::to_string(total));
   }
   return EmpiricalDistribution::from_weighted(std::move(weighted));
 }
@@ -91,7 +74,7 @@ void write_conditional(std::ostream& out,
   write_empirical(out, dist.marginal());
 }
 
-ConditionalDistribution read_conditional(ProfileReader& in) {
+ConditionalDistribution read_conditional(InputReader& in) {
   const std::uint64_t at = in.offset();
   const auto buckets = in.read_pod<std::uint64_t>();
   if (buckets > 64) {
@@ -152,7 +135,7 @@ void SeedProfile::save(std::ostream& out) const {
 }
 
 SeedProfile SeedProfile::load(std::istream& stream, const std::string& name) {
-  ProfileReader in(stream, name);
+  InputReader in(stream, "seed profile", name);
   const auto magic = in.read_pod<std::array<char, 4>>();
   if (!std::equal(magic.begin(), magic.end(), kMagic)) {
     in.fail(0, "not a csb seed profile (bad magic)");

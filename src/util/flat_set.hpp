@@ -1,9 +1,9 @@
-// FlatSet64: open-addressing set of 64-bit keys for the Map-Reduce dedup
-// path (Dataset::distinct merge stage).
+// FlatSet64: open-addressing set of 64-bit keys for the multiset collapse's
+// per-shard dedup (SimplifyPlan::dedup_shard, the collapse:dedup stage).
 //
 // One contiguous power-of-two slot array probed linearly from the mix64
 // hash — no per-node allocations, no bucket pointers, cache-line friendly.
-// Keys are the caller's exact identities (distinct() key_fn is injective),
+// Keys are the caller's exact identities (packed or hashed endpoint pairs),
 // so equality is on the raw key; mix64 only picks the home slot. The load
 // factor is capped at 3/4. Key 0 is the empty-slot sentinel and is handled
 // out-of-band, so the full u64 domain is storable.

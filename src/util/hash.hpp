@@ -1,5 +1,5 @@
 // Hashing utilities: a strong 64-bit mixer and pair/tuple combining, used by
-// the Map-Reduce distinct() stage and the flow-table keys.
+// the multiset collapse's shard routing and the flow-table keys.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +20,7 @@ inline constexpr std::uint64_t hash_combine(std::uint64_t a,
   return mix64(a + 0x9e3779b97f4a7c15ULL + (b << 6) + (b >> 2));
 }
 
-/// Hash for (u, v) endpoint pairs, e.g. edge identity in distinct().
+/// Hash for (u, v) endpoint pairs, e.g. edge identity in the collapse.
 inline constexpr std::uint64_t hash_pair(std::uint64_t u,
                                          std::uint64_t v) noexcept {
   return hash_combine(mix64(u), mix64(v));

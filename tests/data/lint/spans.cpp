@@ -5,7 +5,7 @@
 namespace fixture {
 
 void emit_spans(ClusterSim& cluster) {
-  cluster.run_stage("distinct:merge", [] {});
+  cluster.run_stage("store:merge:seal", [] {});
   cluster.run_stage("Shuffle", [] {});  // VIOLATION
   cluster.run_serial("warmup:pass", [] {});  // VIOLATION
   cluster.run_serial("kronfit:gradient", [] {});

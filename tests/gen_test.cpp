@@ -6,13 +6,14 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <filesystem>
 #include <numeric>
+#include <span>
 
 #include "gen/baselines.hpp"
 #include "gen/fast_samplers.hpp"
 #include "gen/kronecker.hpp"
 #include "gen/kronfit.hpp"
-#include "mr/dataset.hpp"
 #include "gen/pgpba.hpp"
 #include "gen/pgsk.hpp"
 #include "gen/properties.hpp"
@@ -39,6 +40,22 @@ SeedBundle small_seed(std::uint64_t sessions = 800) {
 }
 
 ClusterConfig four_cores() { return ClusterConfig{.nodes = 2, .cores_per_node = 2}; }
+
+/// The sealed distinct set's ascending key stream, gathered to one vector.
+std::vector<std::uint64_t> scanned_keys(const ExternalDistinct& distinct) {
+  std::vector<std::uint64_t> keys;
+  distinct.scan([&keys](std::span<const std::uint64_t> chunk) {
+    keys.insert(keys.end(), chunk.begin(), chunk.end());
+  });
+  return keys;
+}
+
+/// The Kronecker descent's target when none is given: the initiator's
+/// expected edge count at order k.
+std::uint64_t expected_target(const Initiator& initiator, std::uint32_t k) {
+  return static_cast<std::uint64_t>(
+      std::llround(initiator.expected_edges(k)));
+}
 
 // ------------------------------------------------------------- properties
 
@@ -214,14 +231,13 @@ TEST(KronFitTest, RecoversDenseCornerOnKroneckerGraph) {
   Initiator truth;
   truth.theta = {{{0.9, 0.6}, {0.4, 0.2}}};
   ClusterSim cluster(four_cores());
-  StochasticKroneckerOptions gen;
-  gen.initiator = truth;
-  gen.k = 9;  // 512 vertices, ~(2.1)^9 ~ 800 edges
-  gen.seed = 5;
-  const auto edges = stochastic_kronecker_edges(cluster, gen);
-  PropertyGraph graph(1ULL << gen.k);
-  for (std::size_t p = 0; p < edges.num_partitions(); ++p) {
-    for (const Edge& e : edges.partition(p)) graph.add_edge(e.src, e.dst);
+  constexpr std::uint32_t kOrder = 9;  // 512 vertices, ~(2.1)^9 ~ 800 edges
+  const auto edges = stochastic_kronecker_distinct(
+      cluster, truth, kOrder, expected_target(truth, kOrder), /*seed=*/5,
+      /*parts=*/8, ExternalDistinctOptions{});
+  PropertyGraph graph(1ULL << kOrder);
+  for (const std::uint64_t key : scanned_keys(*edges)) {
+    graph.add_edge(key >> 32, key & 0xffffffffULL);
   }
 
   KronFitOptions options;
@@ -375,40 +391,52 @@ TEST(KronFitTest, RejectsDegenerateInput) {
 
 TEST(StochasticKroneckerTest, ReachesTargetDistinctEdges) {
   ClusterSim cluster(four_cores());
-  StochasticKroneckerOptions options;
-  options.initiator.theta = {{{0.9, 0.55}, {0.45, 0.25}}};
-  options.k = 10;
-  options.edges_to_place = 1500;
-  const auto edges = stochastic_kronecker_edges(cluster, options);
-  EXPECT_GE(edges.count(), 1500u);
-  // All endpoints must fit in 2^k vertices, and edges must be distinct.
-  std::set<std::pair<VertexId, VertexId>> seen;
-  for (std::size_t p = 0; p < edges.num_partitions(); ++p) {
-    for (const Edge& e : edges.partition(p)) {
-      EXPECT_LT(e.src, 1ULL << 10);
-      EXPECT_LT(e.dst, 1ULL << 10);
-      EXPECT_TRUE(seen.emplace(e.src, e.dst).second) << "duplicate edge";
+  Initiator initiator;
+  initiator.theta = {{{0.9, 0.55}, {0.45, 0.25}}};
+  const auto edges = stochastic_kronecker_distinct(
+      cluster, initiator, /*k=*/10, /*target=*/1500, /*seed=*/1,
+      /*parts=*/8, ExternalDistinctOptions{});
+  EXPECT_GE(edges->unique_count(), 1500u);
+  // All endpoints must fit in 2^k vertices, and the scanned stream must be
+  // strictly ascending (so every edge is distinct).
+  const std::vector<std::uint64_t> keys = scanned_keys(*edges);
+  ASSERT_EQ(keys.size(), edges->unique_count());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_LT(keys[i] >> 32, 1ULL << 10);
+    EXPECT_LT(keys[i] & 0xffffffffULL, 1ULL << 10);
+    if (i > 0) {
+      EXPECT_LT(keys[i - 1], keys[i]) << "duplicate edge";
     }
   }
 }
 
 TEST(StochasticKroneckerTest, DefaultTargetIsExpectedEdges) {
+  // PGSK asks for the initiator's expected edge count (its plan's
+  // kron_edges); the distinct count lands on it, plus the last round's
+  // oversampling.
   ClusterSim cluster(four_cores());
-  StochasticKroneckerOptions options;
-  options.initiator.theta = {{{0.8, 0.5}, {0.5, 0.2}}};
-  options.k = 8;
-  const auto edges = stochastic_kronecker_edges(cluster, options);
-  const double expected = options.initiator.expected_edges(8);
-  EXPECT_GE(static_cast<double>(edges.count()), expected * 0.99);
-  EXPECT_LE(static_cast<double>(edges.count()), expected * 1.5);
+  Initiator initiator;
+  initiator.theta = {{{0.8, 0.5}, {0.5, 0.2}}};
+  const auto edges = stochastic_kronecker_distinct(
+      cluster, initiator, /*k=*/8, expected_target(initiator, 8),
+      /*seed=*/1, /*parts=*/8, ExternalDistinctOptions{});
+  const double expected = initiator.expected_edges(8);
+  EXPECT_GE(static_cast<double>(edges->unique_count()), expected * 0.99);
+  EXPECT_LE(static_cast<double>(edges->unique_count()), expected * 1.5);
 }
 
 TEST(StochasticKroneckerTest, RejectsImpossibleTargets) {
   ClusterSim cluster(four_cores());
-  StochasticKroneckerOptions options;
-  options.k = 2;  // only 16 possible distinct edges
-  options.edges_to_place = 100;
-  EXPECT_THROW(stochastic_kronecker_edges(cluster, options), CsbError);
+  const Initiator initiator;
+  const auto place = [&](std::uint32_t k, std::uint64_t target) {
+    (void)stochastic_kronecker_distinct(cluster, initiator, k, target,
+                                        /*seed=*/1, /*parts=*/8,
+                                        ExternalDistinctOptions{});
+  };
+  EXPECT_THROW(place(2, 100), CsbError);  // only 16 possible distinct edges
+  EXPECT_THROW(place(4, 0), CsbError);    // nothing to place
+  EXPECT_THROW(place(0, 1), CsbError);    // order out of range
+  EXPECT_THROW(place(33, 1), CsbError);   // endpoints overflow 32-bit keys
 }
 
 TEST(DeterministicKroneckerTest, AllOnesInitiatorGivesCompleteGraph) {
@@ -552,8 +580,8 @@ TEST(DeterminismTest, PgskSameSeedSameGraph) {
   ClusterSim c2(four_cores());
   const GenResult a = pgsk_generate(seed.graph, seed.profile, c1, options);
   const GenResult b = pgsk_generate(seed.graph, seed.profile, c2, options);
-  // Structure is deterministic up to the distinct() partition ordering; the
-  // edge multiset must match exactly.
+  // The whole graph is byte-deterministic per seed; comparing the sorted
+  // edge multisets keeps this check independent of the edge order.
   auto edges_of = [](const PropertyGraph& g) {
     std::vector<std::pair<VertexId, VertexId>> edges;
     for (EdgeId e = 0; e < g.num_edges(); ++e) {
@@ -566,24 +594,46 @@ TEST(DeterminismTest, PgskSameSeedSameGraph) {
 }
 
 TEST(DeterminismTest, KroneckerEdgesDeterministicPerSeed) {
-  ClusterSim c1(four_cores());
-  ClusterSim c2(four_cores());
-  StochasticKroneckerOptions options;
-  options.k = 9;
-  options.edges_to_place = 400;
-  options.partitions = 4;
-  const auto a = stochastic_kronecker_edges(c1, options).collect();
-  options.seed = options.seed;  // same seed
-  const auto b = stochastic_kronecker_edges(c2, options).collect();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
-  options.seed = 99;  // different seed -> different edges
-  const auto c = stochastic_kronecker_edges(c2, options).collect();
-  bool any_diff = c.size() != a.size();
-  for (std::size_t i = 0; !any_diff && i < a.size(); ++i) {
-    any_diff = !(a[i] == c[i]);
+  // The scanned key stream is a function of (initiator, k, target, seed,
+  // parts) alone: the cluster shape, the pool and the dedup budget change
+  // how placements are scheduled, spilled and merged, never which keys
+  // come out or in what order.
+  const Initiator initiator;
+  constexpr std::uint32_t kOrder = 18;
+  constexpr std::uint64_t kTarget = 150'000;
+  constexpr std::size_t kParts = 8;
+  constexpr std::uint64_t kInRam = 256ULL << 20;
+  constexpr std::uint64_t kSpills = 1ULL << 19;  // the minimum: one IO chunk
+  const std::string spill = ::testing::TempDir() + "/csb_kron_determinism";
+  std::size_t spilled = 0;
+  const auto keys_at = [&](ClusterConfig shape, std::uint64_t budget,
+                           std::uint64_t seed) {
+    ClusterSim cluster(shape);
+    const auto distinct = stochastic_kronecker_distinct(
+        cluster, initiator, kOrder, kTarget, seed, kParts,
+        ExternalDistinctOptions{.spill_directory = spill,
+                                .memory_budget_bytes = budget,
+                                .pool = &cluster.pool()});
+    spilled = distinct->spilled_runs();
+    return scanned_keys(*distinct);
+  };
+
+  const auto reference = keys_at({.nodes = 1, .cores_per_node = 1}, kInRam, 1);
+  EXPECT_EQ(spilled, 0u);
+  ASSERT_GE(reference.size(), kTarget);
+  for (const ClusterConfig shape : {ClusterConfig{.nodes = 1, .cores_per_node = 1},
+                                    ClusterConfig{.nodes = 1, .cores_per_node = 4},
+                                    ClusterConfig{.nodes = 8, .cores_per_node = 4}}) {
+    const std::string label = std::to_string(shape.nodes) + "x" +
+                              std::to_string(shape.cores_per_node);
+    EXPECT_EQ(keys_at(shape, kInRam, 1), reference) << label << " in RAM";
+    EXPECT_EQ(spilled, 0u) << label;
+    EXPECT_EQ(keys_at(shape, kSpills, 1), reference) << label << " spilled";
+    EXPECT_GT(spilled, 0u) << label;
   }
-  EXPECT_TRUE(any_diff);
+  // A different seed places different edges.
+  EXPECT_NE(keys_at({.nodes = 1, .cores_per_node = 4}, kInRam, 99), reference);
+  std::filesystem::remove_all(spill);
 }
 
 TEST(DeterminismTest, InitiatorExpectedEdgesMath) {

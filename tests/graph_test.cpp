@@ -648,6 +648,63 @@ TEST(BinaryIoTest, RejectsOutOfRangeEndpoint) {
   expect_binary_rejected(bytes, "endpoint");
 }
 
+// Every truncation of a valid file and every single-byte flip (^0x01,
+// ^0x80, ^0xff) either loads or is rejected as bad input naming the file
+// and a byte offset — never as a failed internal check, and never after
+// allocating the columns a corrupted header claims.
+TEST(BinaryIoTest, InputSweepLoadsOrNamesFileAndOffset) {
+  const std::string path = ::testing::TempDir() + "/csb_graph_sweep.bin";
+  const auto loads_or_bad_input = [&](const std::string& bytes,
+                                      const std::string& what) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << bytes;
+    }
+    try {
+      (void)load_binary_file(path);
+      return true;
+    } catch (const CsbError& error) {
+      const std::string message = error.what();
+      EXPECT_EQ(message.rfind("bad binary graph " + path + ": byte ", 0), 0u)
+          << what << ": " << message;
+      EXPECT_EQ(message.find("CSB_CHECK failed"), std::string::npos)
+          << what << ": " << message;
+      return false;
+    }
+  };
+
+  PropertyGraph structure_only(4);
+  structure_only.add_edge(0, 1);
+  structure_only.add_edge(3, 2);
+  std::stringstream structure_bytes;
+  save_binary(structure_only, structure_bytes);
+  for (const auto& [form, bytes] :
+       {std::pair{"with properties", small_binary_graph()},
+        std::pair{"structure only", structure_bytes.str()}}) {
+    ASSERT_TRUE(loads_or_bad_input(bytes, form));
+    for (std::size_t length = 0; length < bytes.size(); ++length) {
+      EXPECT_FALSE(loads_or_bad_input(
+          bytes.substr(0, length),
+          std::string(form) + " cut to " + std::to_string(length)))
+          << form << " cut to " << length;
+    }
+    for (std::size_t at = 0; at < bytes.size(); ++at) {
+      for (const std::uint8_t mask : {0x01, 0x80, 0xff}) {
+        std::string flipped = bytes;
+        flipped[at] = static_cast<char>(flipped[at] ^ mask);
+        (void)loads_or_bad_input(flipped, std::string(form) + " byte " +
+                                              std::to_string(at) + " ^ " +
+                                              std::to_string(mask));
+      }
+    }
+    // Bit 32 of the edge count: 2^32 more edges than the file holds.
+    std::string huge = bytes;
+    huge[20] = static_cast<char>(huge[20] ^ 0x01);
+    EXPECT_FALSE(loads_or_bad_input(huge, std::string(form) + " edges + 2^32"));
+  }
+  std::remove(path.c_str());
+}
+
 TEST(CsvIoTest, RoundTripsWithProperties) {
   PropertyGraph g(3);
   g.add_edge(0, 1, sample_props());

@@ -365,10 +365,11 @@ TEST(RuleCatalogTest, CatalogIsSortedAndComplete) {
 // ------------------------------------------------------------ span names
 
 TEST(SpanNameTest, GrammarAcceptsDocumentedFamilies) {
-  EXPECT_EQ(span_name_families().size(), 17u);
+  EXPECT_EQ(span_name_families().size(), 16u);
   EXPECT_TRUE(span_name_families().contains("ball-drop"));
   // Families no code emits any more are not accepted.
-  for (const char* retired : {"expand", "re-multiply", "skip-ahead"}) {
+  for (const char* retired :
+       {"expand", "re-multiply", "skip-ahead", "distinct"}) {
     EXPECT_FALSE(span_name_families().contains(retired)) << retired;
     EXPECT_FALSE(check_span_name(retired).empty()) << retired;
   }
@@ -407,8 +408,8 @@ TEST(SpanNameTest, GrammarValidatesStoreSubFamilies) {
 TEST(SpanNameTest, GrammarRejectsMalformedNames) {
   EXPECT_NE(check_span_name(""), "");
   EXPECT_NE(check_span_name("Shuffle"), "");       // uppercase segment
-  EXPECT_NE(check_span_name("distinct:"), "");     // empty trailing segment
-  EXPECT_NE(check_span_name("distinct:No Good"), "");
+  EXPECT_NE(check_span_name("coalesce:"), "");     // empty trailing segment
+  EXPECT_NE(check_span_name("coalesce:No Good"), "");
   EXPECT_NE(check_span_name("warmup:pass"), "");   // undocumented family
 }
 

@@ -1,17 +1,22 @@
 // Unit tests for src/mr: list scheduling, the virtual-cluster simulator,
-// and Dataset transformations.
+// Dataset transformations, and the ExternalDistinct dedup fed by cluster
+// stage tasks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <numeric>
+#include <span>
 #include <string>
 #include <thread>
 
 #include "mr/cluster.hpp"
 #include "mr/dataset.hpp"
+#include "store/external_sort.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 namespace csb {
 namespace {
@@ -278,79 +283,84 @@ TEST(DatasetTest, SampleIsDeterministicPerSeed) {
   EXPECT_NE(ds.sample(0.3, 42).collect(), ds.sample(0.3, 43).collect());
 }
 
+/// The sealed set's ascending key stream, gathered to one vector.
+std::vector<std::uint64_t> scanned(const ExternalDistinct& distinct) {
+  std::vector<std::uint64_t> keys;
+  distinct.scan([&keys](std::span<const std::uint64_t> chunk) {
+    keys.insert(keys.end(), chunk.begin(), chunk.end());
+  });
+  return keys;
+}
+
 TEST(DatasetTest, DistinctRemovesDuplicates) {
-  ClusterSim cluster(small_cluster());
-  const auto ds = Dataset<int>::from_vector(
-      cluster, {5, 1, 5, 2, 1, 5, 9, 2, 2}, 3);
-  const auto unique = ds.distinct(
-      [](const int& x) { return static_cast<std::uint64_t>(x); });
-  auto values = unique.collect();
-  std::sort(values.begin(), values.end());
-  EXPECT_EQ(values, (std::vector<int>{1, 2, 5, 9}));
+  ExternalDistinct distinct(ExternalDistinctOptions{});
+  distinct.add(std::vector<std::uint64_t>{5, 1, 5, 2, 1, 5, 9, 2, 2});
+  EXPECT_EQ(distinct.seal(), 4u);
+  EXPECT_EQ(scanned(distinct), (std::vector<std::uint64_t>{1, 2, 5, 9}));
 }
 
 TEST(DatasetTest, DistinctOnAlreadyUniqueKeepsAll) {
-  ClusterSim cluster(small_cluster());
-  std::vector<int> data(500);
-  std::iota(data.begin(), data.end(), 0);
-  const auto ds = Dataset<int>::from_vector(cluster, data, 4);
-  EXPECT_EQ(ds.distinct([](const int& x) {
-              return static_cast<std::uint64_t>(x);
-            }).count(),
-            500u);
+  std::vector<std::uint64_t> keys(500);
+  std::iota(keys.begin(), keys.end(), 0);
+  ExternalDistinct distinct(ExternalDistinctOptions{});
+  distinct.add(keys);
+  EXPECT_EQ(distinct.seal(), 500u);
+  EXPECT_EQ(scanned(distinct), keys);
 }
 
 TEST(DatasetTest, DistinctMergesDuplicatesSplitAcrossPartitions) {
-  ClusterSim cluster(small_cluster());
-  // Every key appears in every partition: the counted shuffle must route all
-  // copies of a key to the same merge task, whichever partition held them.
-  std::vector<int> data;
-  for (int copy = 0; copy < 4; ++copy) {
-    for (int key = 0; key < 50; ++key) data.push_back(key);
-  }
-  const auto ds = Dataset<int>::from_vector(cluster, data, 4);
-  auto values = ds.distinct([](const int& x) {
-                    return static_cast<std::uint64_t>(x);
-                  }).collect();
-  std::sort(values.begin(), values.end());
-  std::vector<int> expected(50);
+  // Every key is added by every stage task, concurrently, each task in its
+  // own rotated order; at the minimum budget the copies also land in
+  // different spilled runs. All of them must merge to one key each,
+  // whichever task and run held them, at any pool size.
+  constexpr std::uint64_t kKeys = 40'000;
+  constexpr std::size_t kTasks = 4;
+  std::vector<std::uint64_t> expected(kKeys);
   std::iota(expected.begin(), expected.end(), 0);
-  EXPECT_EQ(values, expected);
+  const std::string spill = ::testing::TempDir() + "/csb_mr_distinct";
+  for (const std::size_t workers : {1u, 4u}) {
+    ThreadPool pool(workers);
+    ClusterSim cluster(small_cluster(), pool);
+    ExternalDistinct distinct(
+        ExternalDistinctOptions{.spill_directory = spill,
+                                .memory_budget_bytes = 1ULL << 19,
+                                .pool = &pool});
+    std::vector<std::function<void()>> tasks;
+    for (std::size_t t = 0; t < kTasks; ++t) {
+      tasks.push_back([&distinct, t] {
+        std::vector<std::uint64_t> keys(kKeys);
+        for (std::uint64_t i = 0; i < kKeys; ++i) {
+          keys[i] = (i + t * kKeys / kTasks) % kKeys;
+        }
+        for (std::size_t at = 0; at < kKeys; at += 4096) {
+          distinct.add(std::span<const std::uint64_t>(keys).subspan(
+              at, std::min<std::size_t>(4096, kKeys - at)));
+        }
+      });
+    }
+    cluster.run_stage("store:distinct", std::move(tasks));
+    EXPECT_EQ(distinct.seal(), kKeys) << workers << " workers";
+    EXPECT_GT(distinct.spilled_runs(), 0u) << workers << " workers";
+    EXPECT_EQ(scanned(distinct), expected) << workers << " workers";
+  }
+  std::filesystem::remove_all(spill);
 }
 
 TEST(DatasetTest, DistinctIsDeterministic) {
-  ClusterSim cluster(small_cluster());
-  std::vector<int> data;
-  for (int i = 0; i < 300; ++i) data.push_back(i % 97);
-  const auto ds = Dataset<int>::from_vector(cluster, data, 5);
-  const auto key = [](const int& x) { return static_cast<std::uint64_t>(x); };
-  // First occurrence wins in (partition, offset) order; repeated runs give
-  // identical element order, not just identical sets.
-  EXPECT_EQ(ds.distinct(key).collect(), ds.distinct(key).collect());
-}
-
-TEST(DatasetTest, DistinctBalancesSkewedShuffleKeys) {
-  // Packed edge keys (src<<32|dst) share their low bits whenever dst is
-  // constant, and `key % parts` alone would then route every element to one
-  // merge task — a serial stage in disguise. The shuffle target must mix
-  // the key first.
-  ClusterSim cluster(small_cluster());
-  constexpr std::uint64_t kKeys = 4096;
-  constexpr std::size_t kParts = 8;
-  std::vector<std::uint64_t> data;
-  data.reserve(kKeys);
-  for (std::uint64_t i = 0; i < kKeys; ++i) data.push_back((i << 32) | 7u);
-  const auto ds = Dataset<std::uint64_t>::from_vector(cluster, data, kParts);
-  const auto unique =
-      ds.distinct([](const std::uint64_t& x) { return x; });
-  ASSERT_EQ(unique.count(), kKeys);
-  std::size_t largest = 0;
-  for (std::size_t p = 0; p < unique.num_partitions(); ++p) {
-    largest = std::max(largest, unique.partition(p).size());
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t i = 0; i < 300; ++i) keys.push_back(i % 97);
+  // The scanned stream is the ascending key set: a function of the key
+  // multiset alone, so arrival order and batching do not change it.
+  ExternalDistinct batch(ExternalDistinctOptions{});
+  batch.add(keys);
+  batch.seal();
+  ExternalDistinct one_by_one(ExternalDistinctOptions{});
+  for (auto it = keys.rbegin(); it != keys.rend(); ++it) {
+    one_by_one.add(std::span<const std::uint64_t>(&*it, 1));
   }
-  // Perfectly uniform would be kKeys / kParts = 512; without mixing one
-  // partition holds all 4096.
-  EXPECT_LT(largest, kKeys / 2);
+  one_by_one.seal();
+  EXPECT_EQ(scanned(batch), scanned(one_by_one));
+  EXPECT_EQ(batch.unique_count(), 97u);
 }
 
 TEST(DatasetTest, SampleFractionTwoEmitsExactlyTwoCopies) {
@@ -372,17 +382,11 @@ TEST(DatasetTest, SampleFractionTwoEmitsExactlyTwoCopies) {
 
 TEST(DatasetTest, ConcatMoveMatchesConcat) {
   ClusterSim cluster(small_cluster());
-  const std::vector<int> left = {1, 2, 3, 4};
-  const std::vector<int> right = {5, 6};
-  const auto expected =
-      Dataset<int>::from_vector(cluster, left, 2)
-          .concat(Dataset<int>::from_vector(cluster, right, 2))
-          .collect();
-  auto a = Dataset<int>::from_vector(cluster, left, 2);
-  auto b = Dataset<int>::from_vector(cluster, right, 2);
+  auto a = Dataset<int>::from_vector(cluster, {1, 2, 3, 4}, 2);
+  auto b = Dataset<int>::from_vector(cluster, {5, 6}, 2);
   const auto joined = Dataset<int>::concat_move(std::move(a), std::move(b));
   EXPECT_EQ(joined.num_partitions(), 4u);
-  EXPECT_EQ(joined.collect(), expected);
+  EXPECT_EQ(joined.collect(), (std::vector<int>{1, 2, 3, 4, 5, 6}));
 }
 
 TEST(DatasetTest, CoalescedPreservesElementsAndOrder) {
@@ -399,26 +403,11 @@ TEST(DatasetTest, CoalescedPreservesElementsAndOrder) {
             2u);
 }
 
-TEST(DatasetTest, FlatMapIntoMatchesFlatMap) {
-  ClusterSim cluster(small_cluster());
-  std::vector<int> data(50);
-  std::iota(data.begin(), data.end(), 0);
-  const auto ds = Dataset<int>::from_vector(cluster, data, 4);
-  const auto copies = ds.flat_map([](const int& x) {
-    return std::vector<int>(static_cast<std::size_t>(x % 3), x);
-  });
-  const auto sunk = ds.flat_map_into<int>([](const int& x, const auto& emit) {
-    for (int c = 0; c < x % 3; ++c) emit(x);
-  });
-  EXPECT_EQ(sunk.collect(), copies.collect());
-  EXPECT_EQ(sunk.num_partitions(), ds.num_partitions());
-}
-
 TEST(DatasetTest, ConcatJoinsPartitions) {
   ClusterSim cluster(small_cluster());
-  const auto a = Dataset<int>::from_vector(cluster, {1, 2}, 1);
-  const auto b = Dataset<int>::from_vector(cluster, {3}, 1);
-  const auto joined = a.concat(b);
+  auto a = Dataset<int>::from_vector(cluster, {1, 2}, 1);
+  auto b = Dataset<int>::from_vector(cluster, {3}, 1);
+  const auto joined = Dataset<int>::concat_move(std::move(a), std::move(b));
   EXPECT_EQ(joined.num_partitions(), 2u);
   EXPECT_EQ(joined.collect(), (std::vector<int>{1, 2, 3}));
 }
@@ -440,9 +429,8 @@ TEST(DatasetTest, OperationsRecordStages) {
   cluster.reset_metrics();
   (void)ds.map([](const int& x) { return x; });
   (void)ds.filter([](const int&) { return true; });
-  (void)ds.distinct([](const int& x) { return static_cast<std::uint64_t>(x); });
-  // map + filter + distinct(shuffle+merge) = 4 stages.
-  EXPECT_EQ(cluster.metrics().stages, 4u);
+  // map + filter = 2 stages.
+  EXPECT_EQ(cluster.metrics().stages, 2u);
 }
 
 TEST(DatasetTest, ReduceSumsElements) {

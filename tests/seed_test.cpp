@@ -295,6 +295,39 @@ TEST(SeedProfileIoTest, TruncationSweepNamesFileAndOffset) {
   std::remove(path.c_str());
 }
 
+// A probability with its sign bit flipped is bad input at that field's
+// offset, caught before the distribution is built — not a failed check
+// inside EmpiricalDistribution.
+TEST(SeedProfileIoTest, NegativeProbabilityNamesFileAndOffset) {
+  const SeedBundle bundle = build_seed_from_netflow(tiny_records());
+  std::stringstream full;
+  bundle.profile.save(full);
+  std::string bytes = full.str();
+  // magic, version, |V|, |E| (24 bytes), then the in-degree distribution:
+  // its size (8), the first support value (8), the first probability.
+  constexpr std::size_t kFirstProbability = 24 + 8 + 8;
+  bytes[kFirstProbability + 7] =
+      static_cast<char>(bytes[kFirstProbability + 7] ^ 0x80);  // sign bit
+  const std::string path = ::testing::TempDir() + "/csb_profile_negative.bin";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  }
+  try {
+    (void)SeedProfile::load_file(path);
+    ADD_FAILURE() << "a negative probability loaded";
+  } catch (const CsbError& error) {
+    const std::string message = error.what();
+    EXPECT_EQ(message.rfind("bad seed profile " + path + ": byte " +
+                                std::to_string(kFirstProbability) + ": ",
+                            0),
+              0u)
+        << message;
+    EXPECT_EQ(message.find("CSB_CHECK failed"), std::string::npos) << message;
+  }
+  std::remove(path.c_str());
+}
+
 // ------------------------------------------------------ pool determinism
 
 std::string serialized_bundle(const SeedBundle& bundle) {
