@@ -8,6 +8,7 @@
 #include <functional>
 #include <vector>
 
+#include "gen/sink_stages.hpp"
 #include "graph/edge.hpp"
 #include "mr/cluster.hpp"
 #include "store/external_sort.hpp"
@@ -43,10 +44,7 @@ inline std::uint64_t dedup_keys(
     tasks.push_back([&distinct, &batch] { distinct.add(batch); });
   }
   cluster.run_stage("store:distinct", std::move(tasks));
-  std::uint64_t unique = 0;
-  cluster.run_serial("store:distinct:seal",
-                     [&] { unique = distinct.seal(); });
-  return unique;
+  return seal_distinct(cluster, distinct);
 }
 
 }  // namespace csb::bench

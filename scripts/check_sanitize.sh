@@ -81,11 +81,13 @@ done
 # loop runs through: its contract tests (util_test's ForkJoin/ParallelFor/
 # ThreadPool cases), ClusterSim's stage runner on top of it, betweenness's
 # chunk-order merge of per-chunk partials, and the multi-threaded workload
-# runner.
+# runner, and the generators' pooled stages (gen_test: the ball-drop and
+# skip-ahead chunks, pgsk-fast and pgpba-fast end to end, and the Kronecker
+# descent, whose re-multiplied emission writes from pool workers).
 # Only the relevant test binaries are built; the uppercase suite filter
 # skips the lowercase *_NOT_BUILT placeholders gtest_discover_tests
 # registers for unbuilt targets.
-TSAN_FILTER="${2:-ThreadPool|ParallelFor|ForkJoin|MakeChunks|ClusterSim|Betweenness|WorkloadRunner|ParallelAssembly|FlowAssembler|FlowGolden|SeedPipeline|SeedDeterminism|SeedProfile|GraphFromNetflow|Conditional|Empirical|PcapFile|ShardStore|ExternalDistinct|MemoryStore|GeneratorGolden|PageRank|NormalizedDistribution}"
+TSAN_FILTER="${2:-ThreadPool|ParallelFor|ForkJoin|MakeChunks|ClusterSim|Betweenness|WorkloadRunner|ParallelAssembly|FlowAssembler|FlowGolden|SeedPipeline|SeedDeterminism|SeedProfile|GraphFromNetflow|Conditional|Empirical|PcapFile|ShardStore|ExternalDistinct|MemoryStore|GeneratorGolden|PageRank|NormalizedDistribution|BallDrop|SkipAhead|PgskFast|PgpbaFast|StochasticKronecker}"
 
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -94,7 +96,7 @@ cmake -B build-tsan -S . \
   -DCSB_BUILD_EXAMPLES=OFF
 cmake --build build-tsan -j "$(nproc)" \
   --target util_test stats_test pcap_test flow_test seed_test store_test \
-  graph_test veracity_test mr_test extensions_test workload_test
+  graph_test veracity_test mr_test extensions_test workload_test gen_test
 
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 ctest --test-dir build-tsan -R "$TSAN_FILTER" --output-on-failure -j "$(nproc)"

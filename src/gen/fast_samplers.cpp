@@ -131,12 +131,7 @@ StoreGenResult pgsk_fast_generate_into(const PropertyGraph& seed_graph,
   CSB_CHECK_MSG(options.desired_edges > 0, "desired_edges must be positive");
   cluster.reset_metrics();
 
-  StoreGenResult result;
-  TraceRecorder* const trace = cluster.trace();
-  const std::size_t parts = options.partitions != 0
-                                ? options.partitions
-                                : 2 * cluster.config().total_cores();
-
+  const std::size_t parts = partitions_or_default(cluster, options.partitions);
   const PropertyGraph simple = pgsk_collapse(seed_graph, cluster, parts);
   const PgskInitiatorPlan fitted = pgsk_fit_and_plan(
       simple, profile, cluster, options.fit,
@@ -146,157 +141,65 @@ StoreGenResult pgsk_fast_generate_into(const PropertyGraph& seed_graph,
 
   const std::uint64_t place =
       std::max<std::uint64_t>(1, fitted.plan.kron_edges);
-  const std::uint64_t n = 1ULL << fitted.plan.k;
   const std::uint64_t dup_seed = options.seed ^ 0xd0b1e5ULL;
-  result.iterations = fitted.plan.k;
 
   ChungLuLevels levels;
   cluster.run_serial("ball-drop:plan", [&] {
     levels = chung_lu_levels(fitted.initiator, fitted.plan.k, options.noise,
                              options.seed);
   });
-  const std::size_t chunk_size = fast_sampler_chunk_size(place, parts);
-  const auto chunks =
-      make_fixed_chunks(0, static_cast<std::size_t>(place), chunk_size);
+  const auto chunks = make_fixed_chunks(0, static_cast<std::size_t>(place),
+                                        fast_sampler_chunk_size(place, parts));
+  // A ball-drop chunk regenerates from its counter stream on every replay,
+  // so no placement is ever resident twice.
+  const auto drop = [&levels, &chunks, seed = options.seed](
+                        std::size_t c,
+                        const std::function<void(std::span<const Edge>)>&
+                            emit) {
+    std::vector<Edge> buf(chunks[c].end - chunks[c].begin);
+    ball_drop_chunk(levels, seed, chunks[c], buf.data());
+    emit(buf);
+  };
 
-  std::uint64_t total_edges = 0;
+  StoreHeader header{.vertices = 1ULL << fitted.plan.k,
+                     .with_properties = options.with_properties,
+                     .seed = options.seed};
   {
-    PhaseScope phase(trace, "store");
+    PhaseScope phase(cluster.trace(), "store");
     if (!options.dedup) {
-      // Counting pass: re-multiplied size of each ball-drop chunk. The
-      // chunk regenerates from its counter stream both here and in the
-      // emit pass — no edge is ever resident twice.
-      std::vector<std::uint64_t> offsets(chunks.size() + 1, 0);
-      {
-        std::vector<std::function<void()>> tasks;
-        tasks.reserve(chunks.size());
-        for (const ChunkRange& chunk : chunks) {
-          tasks.push_back([&levels, &profile, &offsets, dup_seed,
-                           seed = options.seed, chunk] {
-            std::vector<Edge> buf(chunk.end - chunk.begin);
-            ball_drop_chunk(levels, seed, chunk, buf.data());
-            std::uint64_t count = 0;
-            for (const Edge& e : buf) {
-              count += re_multiply_copies(profile, dup_seed, e);
-            }
-            offsets[chunk.chunk_index + 1] = count;
-          });
-        }
-        cluster.run_stage("store:count", std::move(tasks));
-      }
-      cluster.run_serial("store:begin", [&] {
-        for (std::size_t c = 0; c < chunks.size(); ++c) {
-          offsets[c + 1] += offsets[c];
-        }
-        total_edges = offsets.back();
-        store.begin(StoreHeader{.vertices = n,
-                                .edges = total_edges,
-                                .with_properties = options.with_properties,
-                                .seed = options.seed});
-      });
-      {
-        std::vector<std::function<void()>> tasks;
-        tasks.reserve(chunks.size());
-        for (const ChunkRange& chunk : chunks) {
-          tasks.push_back([&levels, &profile, &offsets, &store, dup_seed,
-                           seed = options.seed, chunk] {
-            std::vector<Edge> buf(chunk.end - chunk.begin);
-            ball_drop_chunk(levels, seed, chunk, buf.data());
-            std::vector<Edge> expanded;
-            expanded.reserve(static_cast<std::size_t>(
-                offsets[chunk.chunk_index + 1] - offsets[chunk.chunk_index]));
-            for (const Edge& e : buf) {
-              const std::uint64_t copies =
-                  re_multiply_copies(profile, dup_seed, e);
-              for (std::uint64_t c = 0; c < copies; ++c) {
-                expanded.push_back(e);
-              }
-            }
-            emit_edge_chunk(store, offsets[chunk.chunk_index], expanded);
-          });
-        }
-        cluster.run_stage("store:emit", std::move(tasks));
-      }
+      header = emit_re_multiplied(store, cluster, profile, dup_seed, header,
+                                  chunks.size(), drop);
     } else {
       // Opt-in distinct: ball-drop placements deduped through the
-      // external-sort distinct (the dedup exact PGSK's descent uses), then
-      // re-multiplied in sorted-unique key order.
+      // external-sort distinct exact PGSK's descent uses, then
+      // re-multiplied in its ascending sorted-unique key order.
       CSB_CHECK_MSG(fitted.plan.k <= 32,
                     "dedup packs endpoints into 64-bit keys (k <= 32)");
       ExternalDistinct distinct(ExternalDistinctOptions{
           .spill_directory = options.spill_directory,
           .memory_budget_bytes = options.dedup_budget_bytes,
           .pool = &cluster.pool()});
-      {
-        std::vector<std::function<void()>> tasks;
-        tasks.reserve(chunks.size());
-        for (const ChunkRange& chunk : chunks) {
-          tasks.push_back([&levels, &distinct, seed = options.seed, chunk] {
-            std::vector<Edge> buf(chunk.end - chunk.begin);
-            ball_drop_chunk(levels, seed, chunk, buf.data());
-            std::vector<std::uint64_t> keys(buf.size());
-            for (std::size_t i = 0; i < buf.size(); ++i) {
-              keys[i] = edge_key(buf[i]);
+      std::vector<std::function<void()>> tasks;
+      tasks.reserve(chunks.size());
+      for (std::size_t c = 0; c < chunks.size(); ++c) {
+        tasks.push_back([&drop, &distinct, c] {
+          drop(c, [&distinct](std::span<const Edge> edges) {
+            std::vector<std::uint64_t> keys(edges.size());
+            for (std::size_t i = 0; i < edges.size(); ++i) {
+              keys[i] = edge_key(edges[i]);
             }
             distinct.add(keys);
           });
-        }
-        cluster.run_stage("store:distinct", std::move(tasks));
+        });
       }
-      // Size pass over the sorted-unique keys, then begin + emit. The scan
-      // chunk geometry is fixed by ExternalDistinct, so offsets — and the
-      // emitted bytes — are invariant to threads, shards, and spill count.
-      std::vector<std::uint64_t> scan_offsets{0};
-      cluster.run_serial("store:begin", [&] {
-        (void)distinct.seal();
-        distinct.scan([&](std::span<const std::uint64_t> keys) {
-          std::uint64_t count = 0;
-          for (const std::uint64_t key : keys) {
-            count += re_multiply_copies(profile, dup_seed,
-                                        Edge{key >> 32, key & 0xffffffffULL});
-          }
-          scan_offsets.push_back(scan_offsets.back() + count);
-        });
-        total_edges = scan_offsets.back();
-        store.begin(StoreHeader{.vertices = n,
-                                .edges = total_edges,
-                                .with_properties = options.with_properties,
-                                .seed = options.seed});
-      });
-      cluster.run_serial("store:emit", [&] {
-        std::size_t scan_chunk = 0;
-        std::vector<Edge> expanded;
-        distinct.scan([&](std::span<const std::uint64_t> keys) {
-          expanded.clear();
-          for (const std::uint64_t key : keys) {
-            const Edge e{key >> 32, key & 0xffffffffULL};
-            const std::uint64_t copies =
-                re_multiply_copies(profile, dup_seed, e);
-            for (std::uint64_t c = 0; c < copies; ++c) expanded.push_back(e);
-          }
-          emit_edge_chunk(store, scan_offsets[scan_chunk], expanded);
-          ++scan_chunk;
-        });
-      });
+      cluster.run_stage("store:distinct", std::move(tasks));
+      (void)seal_distinct(cluster, distinct);
+      header = emit_re_multiplied(store, cluster, profile, dup_seed, header,
+                                  distinct);
     }
   }
-  result.structure_seconds = cluster.metrics().simulated_seconds;
-
-  if (options.with_properties) {
-    const double before = cluster.metrics().simulated_seconds;
-    PhaseScope phase(trace, "properties");
-    run_property_stage(store, profile, cluster, options.seed ^ 0xbeefULL,
-                       total_edges);
-    result.property_seconds = cluster.metrics().simulated_seconds - before;
-  }
-  {
-    PhaseScope phase(trace, "store");
-    cluster.run_serial("store:finalize", [&] { store.finish(); });
-  }
-  result.metrics = cluster.metrics();
-  result.vertices = n;
-  result.edges = total_edges;
-  return result;
+  return finish_generation(store, cluster, profile, header,
+                           options.seed ^ 0xbeefULL, fitted.plan.k);
 }
 
 GenResult pgsk_fast_generate(const PropertyGraph& seed_graph,
@@ -362,28 +265,22 @@ StoreGenResult pgpba_fast_generate_into(const PropertyGraph& seed_graph,
                 "edges_per_vertex must be at least 1");
   cluster.reset_metrics();
 
-  StoreGenResult result;
-  TraceRecorder* const trace = cluster.trace();
-  const std::size_t parts = options.partitions != 0
-                                ? options.partitions
-                                : 2 * cluster.config().total_cores();
+  const std::size_t parts = partitions_or_default(cluster, options.partitions);
 
   const std::uint64_t seed_edge_count = seed_graph.num_edges();
   const std::uint64_t total =
       std::max(options.desired_edges, seed_edge_count);
   const std::uint64_t grown = total - seed_edge_count;
   const std::uint64_t m = options.edges_per_vertex;
-  const std::uint64_t num_vertices =
-      seed_graph.num_vertices() + (grown + m - 1) / m;
+  const StoreHeader header{
+      .vertices = seed_graph.num_vertices() + (grown + m - 1) / m,
+      .edges = total,
+      .with_properties = options.with_properties,
+      .seed = options.seed};
 
   {
-    PhaseScope phase(trace, "store");
-    cluster.run_serial("store:begin", [&] {
-      store.begin(StoreHeader{.vertices = num_vertices,
-                              .edges = total,
-                              .with_properties = options.with_properties,
-                              .seed = options.seed});
-    });
+    PhaseScope phase(cluster.trace(), "store");
+    cluster.run_serial("store:begin", [&] { store.begin(header); });
 
     // Seed edges copy straight from the seed columns; grown edges resolve
     // via skip-ahead chains — both land at their global offsets: seed
@@ -420,24 +317,8 @@ StoreGenResult pgpba_fast_generate_into(const PropertyGraph& seed_graph,
     }
     cluster.run_stage("store:emit", std::move(tasks));
   }
-  result.iterations = 1;
-  result.structure_seconds = cluster.metrics().simulated_seconds;
-
-  if (options.with_properties) {
-    const double before = cluster.metrics().simulated_seconds;
-    PhaseScope phase(trace, "properties");
-    run_property_stage(store, profile, cluster, options.seed ^ 0xfacadeULL,
-                       total);
-    result.property_seconds = cluster.metrics().simulated_seconds - before;
-  }
-  {
-    PhaseScope phase(trace, "store");
-    cluster.run_serial("store:finalize", [&] { store.finish(); });
-  }
-  result.metrics = cluster.metrics();
-  result.vertices = num_vertices;
-  result.edges = total;
-  return result;
+  return finish_generation(store, cluster, profile, header,
+                           options.seed ^ 0xfacadeULL, 1);
 }
 
 GenResult pgpba_fast_generate(const PropertyGraph& seed_graph,

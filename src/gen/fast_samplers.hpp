@@ -35,9 +35,9 @@
 // embarrassingly parallel and byte-identical at any worker count.
 //
 // Both generators share the exact pipeline's envelope: pgsk-fast reuses
-// collapse + KronFit + sizing from gen/pgsk.hpp and the exact re-multiply
-// draw, and both stream into a GraphStore through the shared property
-// stage (gen/sink_stages.hpp).
+// collapse + KronFit + sizing from gen/pgsk.hpp and exact PGSK's
+// re-multiplied emission, and both stream into a GraphStore through the
+// shared properties/finalize tail (gen/sink_stages.hpp).
 #pragma once
 
 #include <cstdint>
@@ -114,11 +114,14 @@ struct PgskFastOptions {
 
 /// The pgsk pipeline with the recursive-descent expansion replaced by the
 /// Chung-Lu ball-dropping sampler, streamed into `store` chunk by chunk:
-/// collapse -> KronFit -> a store:count stage sizing the re-multiplied
-/// output per ball-drop chunk -> store:emit regenerating each chunk at its
-/// prefix-sum offset (or, with dedup, store:distinct then an emit over the
-/// sorted-unique keys) -> store:props -> store:finalize. Resident memory is
-/// O(chunk) without dedup, never O(|E|).
+/// collapse -> KronFit -> the shared re-multiplied emission
+/// (emit_re_multiplied, gen/sink_stages.hpp: store:count, store:begin,
+/// store:emit) with one block per ball-drop chunk, regenerated from its
+/// counter stream on each pass -> store:props -> store:finalize. With
+/// dedup, the chunks first go through store:distinct and
+/// store:distinct:seal, and the emission runs one block per scan segment
+/// of the sealed set, as in exact PGSK. Resident memory is O(chunk)
+/// without dedup, O(dedup budget) with it, never O(|E|).
 StoreGenResult pgsk_fast_generate_into(const PropertyGraph& seed_graph,
                                        const SeedProfile& profile,
                                        ClusterSim& cluster,

@@ -145,40 +145,22 @@ StoreGenResult run_serial_baseline(
     ClusterSim& cluster, const SeedProfile& profile, const GenConfig& config,
     GraphStore& store, const std::function<PropertyGraph()>& build) {
   cluster.reset_metrics();
-  TraceRecorder* const trace = cluster.trace();
   PropertyGraph graph;
   {
-    PhaseScope phase(trace, "generate");
+    PhaseScope phase(cluster.trace(), "generate");
     cluster.run_serial("generate", [&] { graph = build(); });
   }
-  const std::uint64_t edges = graph.num_edges();
+  const StoreHeader header{.vertices = graph.num_vertices(),
+                           .edges = graph.num_edges(),
+                           .with_properties = config.with_properties,
+                           .seed = config.seed};
   {
-    PhaseScope phase(trace, "store");
-    cluster.run_serial("store:begin", [&] {
-      store.begin(StoreHeader{.vertices = graph.num_vertices(),
-                              .edges = edges,
-                              .with_properties = config.with_properties,
-                              .seed = config.seed});
-    });
+    PhaseScope phase(cluster.trace(), "store");
+    cluster.run_serial("store:begin", [&] { store.begin(header); });
     emit_columns_into(graph.sources(), graph.destinations(), store, cluster);
   }
-  StoreGenResult result;
-  result.structure_seconds = cluster.metrics().simulated_seconds;
-  if (config.with_properties) {
-    PhaseScope phase(trace, "properties");
-    run_property_stage(store, profile, cluster, config.seed ^ 0xfacadeULL,
-                       edges);
-    result.property_seconds =
-        cluster.metrics().simulated_seconds - result.structure_seconds;
-  }
-  {
-    PhaseScope phase(trace, "store");
-    cluster.run_serial("store:finalize", [&] { store.finish(); });
-  }
-  result.metrics = cluster.metrics();
-  result.vertices = graph.num_vertices();
-  result.edges = edges;
-  return result;
+  return finish_generation(store, cluster, profile, header,
+                           config.seed ^ 0xfacadeULL, 0);
 }
 
 class PgpbaGenerator final : public Generator {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "gen/fast_samplers.hpp"
+#include "gen/sink_stages.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
 #include "util/random.hpp"
@@ -76,8 +77,6 @@ std::unique_ptr<ExternalDistinct> stochastic_kronecker_distinct(
 
   static Counter& rounds_run =
       MetricsRegistry::instance().counter("kron.rounds");
-  static Counter& runs_spilled =
-      MetricsRegistry::instance().counter("store.distinct_spilled_runs");
 
   // Adaptive rounds: place ceil(missing * oversample) descents per round
   // until the distinct set reaches the target. A retry rebuilds the
@@ -112,10 +111,7 @@ std::unique_ptr<ExternalDistinct> stochastic_kronecker_distinct(
       }
     }
     cluster.run_stage("store:distinct", std::move(tasks));
-    cluster.run_serial("store:distinct:seal", [&] {
-      unique = distinct->seal();
-      runs_spilled.add(distinct->spilled_runs());
-    });
+    unique = seal_distinct(cluster, *distinct);
     if (unique >= target) return distinct;
   }
 }

@@ -33,9 +33,7 @@ PgpbaGrowth pgpba_grow(const PropertyGraph& seed_graph,
   CSB_CHECK_MSG(options.fraction > 0.0, "fraction must be positive");
 
   const std::size_t partitions =
-      options.partitions != 0 ? options.partitions
-                              : std::max<std::size_t>(
-                                    1, cluster.config().total_cores() * 2);
+      partitions_or_default(cluster, options.partitions);
 
   // Seed edge list -> initial dataset.
   std::vector<Edge> seed_edges;
@@ -157,42 +155,22 @@ StoreGenResult pgpba_generate_into(const PropertyGraph& seed_graph,
                                    const PgpbaOptions& options,
                                    GraphStore& store) {
   cluster.reset_metrics();
-  TraceRecorder* const trace = cluster.trace();
   const PgpbaGrowth growth =
       pgpba_grow(seed_graph, profile, cluster, options);
-
-  StoreGenResult result;
-  result.iterations = growth.iterations;
+  const StoreHeader header{.vertices = growth.num_vertices,
+                           .edges = growth.edge_count,
+                           .with_properties = options.with_properties,
+                           .seed = options.seed};
 
   // Stream the grown partitions at their concatenation offsets instead of
   // assembling a second full-graph copy.
   {
-    PhaseScope phase(trace, "store");
-    cluster.run_serial("store:begin", [&] {
-      store.begin(StoreHeader{.vertices = growth.num_vertices,
-                              .edges = growth.edge_count,
-                              .with_properties = options.with_properties,
-                              .seed = options.seed});
-    });
+    PhaseScope phase(cluster.trace(), "store");
+    cluster.run_serial("store:begin", [&] { store.begin(header); });
     emit_dataset_into(growth.edges, store, cluster);
   }
-  result.structure_seconds = cluster.metrics().simulated_seconds;
-
-  if (options.with_properties) {
-    const double before = cluster.metrics().simulated_seconds;
-    PhaseScope phase(trace, "properties");
-    run_property_stage(store, profile, cluster, options.seed ^ 0xfacadeULL,
-                       growth.edge_count);
-    result.property_seconds = cluster.metrics().simulated_seconds - before;
-  }
-  {
-    PhaseScope phase(trace, "store");
-    cluster.run_serial("store:finalize", [&] { store.finish(); });
-  }
-  result.metrics = cluster.metrics();
-  result.vertices = growth.num_vertices;
-  result.edges = growth.edge_count;
-  return result;
+  return finish_generation(store, cluster, profile, header,
+                           options.seed ^ 0xfacadeULL, growth.iterations);
 }
 
 }  // namespace csb

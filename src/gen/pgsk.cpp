@@ -131,12 +131,7 @@ StoreGenResult pgsk_generate_into(const PropertyGraph& seed_graph,
   CSB_CHECK_MSG(options.desired_edges > 0, "desired_edges must be positive");
   cluster.reset_metrics();
 
-  StoreGenResult result;
-  TraceRecorder* const trace = cluster.trace();
-  const std::size_t parts = options.partitions != 0
-                                ? options.partitions
-                                : 2 * cluster.config().total_cores();
-
+  const std::size_t parts = partitions_or_default(cluster, options.partitions);
   const PropertyGraph simple = pgsk_collapse(seed_graph, cluster, parts);
   const PgskInitiatorPlan fitted = pgsk_fit_and_plan(
       simple, profile, cluster, options.fit,
@@ -148,14 +143,13 @@ StoreGenResult pgsk_generate_into(const PropertyGraph& seed_graph,
   // through the budgeted external-sort distinct. Its ascending sorted-
   // unique key order is the canonical edge order (pgsk_generate wraps this
   // function over a MemoryStore, so there is no second ordering to drift
-  // from).
-  const std::uint64_t n = 1ULL << fitted.plan.k;
-  const std::uint64_t dup_seed = options.seed ^ 0xd0b1e5ULL;
-  result.iterations = fitted.plan.k;
-
-  std::uint64_t total_edges = 0;
+  // from). Lines 8-12 then re-multiply the sealed stream, one block per
+  // scan segment.
+  StoreHeader header{.vertices = 1ULL << fitted.plan.k,
+                     .with_properties = options.with_properties,
+                     .seed = options.seed};
   {
-    PhaseScope phase(trace, "store");
+    PhaseScope phase(cluster.trace(), "store");
     const std::unique_ptr<ExternalDistinct> distinct =
         stochastic_kronecker_distinct(
             cluster, fitted.initiator, fitted.plan.k,
@@ -165,87 +159,12 @@ StoreGenResult pgsk_generate_into(const PropertyGraph& seed_graph,
                 .spill_directory = options.spill_directory,
                 .memory_budget_bytes = options.dedup_budget_bytes,
                 .pool = &cluster.pool()});
-
-    // Count→prefix→emit over the sealed key stream, one task per scan
-    // segment. Segment boundaries may vary with spill and pool counts, but
-    // every write is offset-addressed into the same ascending stream, so
-    // the stored bytes are invariant.
-    const std::size_t segments = distinct->scan_segments();
-    std::vector<std::uint64_t> seg_offsets(segments + 1, 0);
-    {
-      std::vector<std::function<void()>> tasks;
-      tasks.reserve(segments);
-      for (std::size_t s = 0; s < segments; ++s) {
-        tasks.push_back([&distinct, &profile, &seg_offsets, dup_seed, s] {
-          std::uint64_t count = 0;
-          distinct->scan_segment(
-              s, [&](std::span<const std::uint64_t> keys) {
-                for (const std::uint64_t key : keys) {
-                  count += re_multiply_copies(
-                      profile, dup_seed,
-                      Edge{key >> 32, key & 0xffffffffULL});
-                }
-              });
-          seg_offsets[s + 1] = count;
-        });
-      }
-      cluster.run_stage("store:count", std::move(tasks));
-    }
-    cluster.run_serial("store:begin", [&] {
-      for (std::size_t s = 0; s < segments; ++s) {
-        seg_offsets[s + 1] += seg_offsets[s];
-      }
-      total_edges = seg_offsets.back();
-      store.begin(StoreHeader{.vertices = n,
-                              .edges = total_edges,
-                              .with_properties = options.with_properties,
-                              .seed = options.seed});
-    });
-    {
-      std::vector<std::function<void()>> tasks;
-      tasks.reserve(segments);
-      for (std::size_t s = 0; s < segments; ++s) {
-        tasks.push_back(
-            [&distinct, &profile, &store, &seg_offsets, dup_seed, s] {
-              std::uint64_t at = seg_offsets[s];
-              std::vector<Edge> expanded;
-              distinct->scan_segment(
-                  s, [&](std::span<const std::uint64_t> keys) {
-                    expanded.clear();
-                    for (const std::uint64_t key : keys) {
-                      const Edge e{key >> 32, key & 0xffffffffULL};
-                      const std::uint64_t copies =
-                          re_multiply_copies(profile, dup_seed, e);
-                      for (std::uint64_t c = 0; c < copies; ++c) {
-                        expanded.push_back(e);
-                      }
-                    }
-                    emit_edge_chunk(store, at, expanded);
-                    at += expanded.size();
-                  });
-            });
-      }
-      cluster.run_stage("store:emit", std::move(tasks));
-    }
+    header = emit_re_multiplied(store, cluster, profile,
+                                options.seed ^ 0xd0b1e5ULL, header, *distinct);
   }
-  result.structure_seconds = cluster.metrics().simulated_seconds;
-
   // Lines 13-18: property sampling, chunked on the shared counter geometry.
-  if (options.with_properties) {
-    const double before = cluster.metrics().simulated_seconds;
-    PhaseScope phase(trace, "properties");
-    run_property_stage(store, profile, cluster, options.seed ^ 0xbeefULL,
-                       total_edges);
-    result.property_seconds = cluster.metrics().simulated_seconds - before;
-  }
-  {
-    PhaseScope phase(trace, "store");
-    cluster.run_serial("store:finalize", [&] { store.finish(); });
-  }
-  result.metrics = cluster.metrics();
-  result.vertices = n;
-  result.edges = total_edges;
-  return result;
+  return finish_generation(store, cluster, profile, header,
+                           options.seed ^ 0xbeefULL, fitted.plan.k);
 }
 
 GenResult pgsk_generate(const PropertyGraph& seed_graph,

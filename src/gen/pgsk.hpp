@@ -43,11 +43,12 @@ struct PgskOptions {
 };
 
 /// Exact PGSK streamed into `store` with bounded resident memory: the
-/// expand / distinct / re-multiply phases place through ExternalDistinct
-/// under options.dedup_budget_bytes, then the sorted-unique key stream is
-/// re-multiplied and emitted count→prefix→emit on counter-mode chunk
-/// streams. Peak RSS is O(V + dedup budget) instead of O(E); the stored
-/// bytes are invariant to pool size, shard count, and spill count.
+/// descent places through ExternalDistinct under options.dedup_budget_bytes,
+/// then the sorted-unique key stream goes through the shared re-multiplied
+/// emission (emit_re_multiplied, gen/sink_stages.hpp), one block per scan
+/// segment, and the shared properties/finalize tail. Peak RSS is
+/// O(V + dedup budget) instead of O(E); the stored bytes are invariant to
+/// pool size, shard count, and spill count.
 StoreGenResult pgsk_generate_into(const PropertyGraph& seed_graph,
                                   const SeedProfile& profile,
                                   ClusterSim& cluster,

@@ -1,35 +1,74 @@
 // Shared building blocks of the GraphStore generation pipelines.
 //
 // Every generator streams into a GraphStore, and they need the same moves:
-// split an AoS edge chunk into endpoint columns at a global offset, replay
-// the exact re-multiply draw for one edge, and sample property chunks on
-// one fixed counter-mode geometry. Keeping them here means the generators
-// cannot drift apart byte-wise.
+// pick the default partition count, split an AoS edge chunk into endpoint
+// columns at a global offset, re-multiply placed edges (paper Fig. 3 lines
+// 8-12) through one count -> begin -> emit sequence, and end with the same
+// property stage and seal. Keeping them here means the generators cannot
+// drift apart byte-wise.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 
+#include "gen/generator.hpp"
 #include "graph/edge.hpp"
 #include "graph/property_graph.hpp"
 #include "mr/cluster.hpp"
 #include "mr/dataset.hpp"
 #include "seed/seed.hpp"
+#include "store/external_sort.hpp"
 #include "store/graph_store.hpp"
 
 namespace csb {
+
+/// Partition count of a generator run: `requested` when non-zero,
+/// otherwise 2x the virtual cores.
+[[nodiscard]] std::size_t partitions_or_default(const ClusterSim& cluster,
+                                                std::size_t requested);
 
 /// Splits an AoS edge chunk into endpoint columns and writes it at its
 /// global offset.
 void emit_edge_chunk(GraphStore& store, std::uint64_t first,
                      std::span<const Edge> edges);
 
-/// Re-multiply copy count of one placed edge (Fig. 3 lines 8-12): a draw
-/// from the seed out-degree distribution, clamped to >= 1, on an Rng
-/// derived from the edge identity — so the count never depends on which
-/// chunk or worker placed the edge.
-std::uint64_t re_multiply_copies(const SeedProfile& profile,
-                                 std::uint64_t dup_seed, const Edge& e);
+/// Replays block `block` of the placed edges, in order, as one or more
+/// spans. Every call must yield the same edges: the emission replays each
+/// block twice (count, then emit) instead of keeping it resident.
+using EdgeBlockReplay = std::function<void(
+    std::size_t block, const std::function<void(std::span<const Edge>)>&)>;
+
+/// The one re-multiplied emission (Fig. 3 lines 8-12): every placed edge
+/// is written in a run of copies, blocks in index order. The copy count is
+/// a draw from the seed out-degree distribution, clamped to >= 1, on an Rng
+/// seeded by `dup_seed` and the edge identity, so it never depends on
+/// which block or worker placed the edge.
+/// `store:count` sizes each block's expansion (one task per block),
+/// `store:begin` takes the prefix sum and begins the store with `header`
+/// (its edge count set to the total), and `store:emit` writes each block's
+/// expansion at its offset (one task per block, one put_edges per replayed
+/// span). Offsets derive from the edge stream alone, so the stored bytes
+/// never depend on the block boundaries or the pool. Returns the header
+/// the store was begun with.
+StoreHeader emit_re_multiplied(GraphStore& store, ClusterSim& cluster,
+                               const SeedProfile& profile,
+                               std::uint64_t dup_seed, StoreHeader header,
+                               std::size_t blocks,
+                               const EdgeBlockReplay& replay);
+
+/// emit_re_multiplied over a sealed distinct set of packed edge keys
+/// (edge_key): one block per scan segment, so the edges go out in
+/// ascending key order.
+StoreHeader emit_re_multiplied(GraphStore& store, ClusterSim& cluster,
+                               const SeedProfile& profile,
+                               std::uint64_t dup_seed, StoreHeader header,
+                               const ExternalDistinct& distinct);
+
+/// Seals a distinct set of placed edges as the `store:distinct:seal` serial
+/// segment and adds its spilled runs to `store.distinct_spilled_runs`.
+/// Returns the distinct count.
+std::uint64_t seal_distinct(ClusterSim& cluster, ExternalDistinct& distinct);
 
 /// The store:props stage every generator shares: fixed global property
 /// chunks (geometry from 2x the virtual cores), sampled with per-chunk
@@ -37,6 +76,18 @@ std::uint64_t re_multiply_copies(const SeedProfile& profile,
 void run_property_stage(GraphStore& store, const SeedProfile& profile,
                         ClusterSim& cluster, std::uint64_t prop_seed,
                         std::uint64_t total_edges);
+
+/// The tail every generator shares once its edges are written (Fig. 3
+/// lines 13-18): the `properties` phase (run_property_stage with
+/// `prop_seed`) when `header.with_properties`, then `store:finalize`.
+/// Books the simulated time so far as the structure time and the property
+/// stage as the property time, and returns the run's result with the
+/// header's dimensions.
+StoreGenResult finish_generation(GraphStore& store, ClusterSim& cluster,
+                                 const SeedProfile& profile,
+                                 const StoreHeader& header,
+                                 std::uint64_t prop_seed,
+                                 std::uint64_t iterations);
 
 /// Emits an edge Dataset into the store at its concatenation offsets as a
 /// store:emit stage. The write offsets are prefix sums over the partition

@@ -299,18 +299,24 @@ std::string ParsedTrace::meta_value(std::string_view key,
 namespace {
 
 /// Collects or throws depending on whether the caller wants a report.
+/// Collected errors read "line <n>: <reason>"; a thrown one reads
+/// "bad trace <source>: line <n>: <reason>".
 class ErrorSink {
  public:
-  explicit ErrorSink(std::vector<std::string>* errors) : errors_(errors) {}
+  ErrorSink(std::vector<std::string>* errors, const std::string& source)
+      : errors_(errors), source_(source) {}
 
   void report(std::uint64_t line, const std::string& what) {
     const std::string message = "line " + std::to_string(line) + ": " + what;
-    if (errors_ == nullptr) throw CsbError("invalid trace: " + message);
+    if (errors_ == nullptr) {
+      throw CsbError("bad trace " + source_ + ": " + message);
+    }
     errors_->push_back(message);
   }
 
  private:
   std::vector<std::string>* errors_;
+  const std::string& source_;
 };
 
 double number_or(const JsonValue& object, std::string_view key,
@@ -323,9 +329,10 @@ double number_or(const JsonValue& object, std::string_view key,
 }  // namespace
 
 ParsedTrace parse_trace_ndjson(std::istream& in,
-                               std::vector<std::string>* errors) {
+                               std::vector<std::string>* errors,
+                               const std::string& source) {
   ParsedTrace trace;
-  ErrorSink sink(errors);
+  ErrorSink sink(errors, source);
   std::string line;
   std::uint64_t line_no = 0;
   double last_span_t1 = 0.0;
@@ -482,8 +489,8 @@ ParsedTrace parse_trace_ndjson(std::istream& in,
 ParsedTrace parse_trace_file(const std::string& path,
                              std::vector<std::string>* errors) {
   std::ifstream in(path, std::ios::binary);
-  CSB_CHECK_MSG(in.is_open(), "cannot open trace file: " << path);
-  return parse_trace_ndjson(in, errors);
+  if (!in.is_open()) throw CsbError("bad trace " + path + ": cannot open");
+  return parse_trace_ndjson(in, errors, path);
 }
 
 }  // namespace csb

@@ -223,10 +223,15 @@ struct ParsedTrace {
 
 /// Parses NDJSON. With `errors` non-null, problems (malformed lines, schema
 /// violations: missing/unknown version tag or type, missing fields,
-/// non-monotone span timestamps, dangling parent ids) are appended and
-/// parsing continues; with `errors` null the first problem throws CsbError.
+/// non-monotone span timestamps, dangling parent ids) are appended as
+/// "line <n>: <reason>" and parsing continues; with `errors` null the first
+/// problem throws CsbError "bad trace <source>: line <n>: <reason>".
 ParsedTrace parse_trace_ndjson(std::istream& in,
-                               std::vector<std::string>* errors = nullptr);
+                               std::vector<std::string>* errors = nullptr,
+                               const std::string& source = "<stream>");
+/// parse_trace_ndjson over the file at `path`, which names the source; a
+/// file that cannot be opened throws CsbError "bad trace <path>: cannot
+/// open".
 ParsedTrace parse_trace_file(const std::string& path,
                              std::vector<std::string>* errors = nullptr);
 

@@ -99,6 +99,17 @@ std::uint64_t lower_bound_record(const std::string& path,
   return lo;
 }
 
+/// Record `index` of a sorted run.
+std::uint64_t read_record(const std::string& path, std::uint64_t index) {
+  std::ifstream in(path, std::ios::binary);
+  CSB_CHECK_MSG(in.is_open(), "cannot open spill run: " << path);
+  std::uint64_t key = 0;
+  in.seekg(static_cast<std::streamoff>(index * sizeof(std::uint64_t)));
+  in.read(reinterpret_cast<char*>(&key), sizeof key);
+  CSB_CHECK_MSG(in.gcount() == sizeof key, "truncated spill run: " << path);
+  return key;
+}
+
 std::uint64_t run_record_count(const std::string& path) {
   std::error_code ec;
   const auto bytes = std::filesystem::file_size(path, ec);
@@ -167,13 +178,16 @@ std::uint64_t ExternalDistinct::seal() {
   }
   spill_locked();  // flush the tail as a final run
 
-  // Range-partitioned merge: the key space [0, 2^64) is cut into `ranges`
-  // even spans and every span is k-way-merged independently (duplicates
-  // collapse at each frontier) into its own part file. Each merge
-  // binary-searches its span's segment inside every sorted run, so the
-  // merges read disjoint data and can run concurrently; because the spans
-  // are disjoint and ascending, concatenating the parts reproduces the
-  // serial single-merge stream byte for byte at any range or pool count.
+  // Range-partitioned merge: the keys' actual span [lo, hi] — the smallest
+  // first record and the largest last record over the sorted runs — is cut
+  // into `ranges` even spans, and every span is k-way-merged independently
+  // (duplicates collapse at each frontier) into its own part file. Each
+  // merge binary-searches its span's segment inside every sorted run, so
+  // the merges read disjoint data and can run concurrently; because the
+  // spans are disjoint and ascending, concatenating the parts reproduces
+  // the serial single-merge stream byte for byte at any range or pool
+  // count. Cutting [lo, hi] rather than [0, 2^64) is what spreads narrow
+  // keys (packed Kronecker edges lie below 2^(32+k)) over every range.
   PhaseScope merge_scope(TraceRecorder::current(), "store:merge:seal");
   namespace fs = std::filesystem;
   ThreadPool* pool = options_.pool;
@@ -181,9 +195,18 @@ std::uint64_t ExternalDistinct::seal() {
       pool == nullptr ? 1 : std::min<std::size_t>(pool->size(),
                                                   kMaxMergeRanges);
   std::vector<std::uint64_t> run_records(runs_.size(), 0);
+  std::uint64_t lo = ~std::uint64_t{0};
+  std::uint64_t hi = 0;
   for (std::size_t i = 0; i < runs_.size(); ++i) {
     run_records[i] = run_record_count(runs_[i]);
+    lo = std::min(lo, read_record(runs_[i], 0));
+    hi = std::max(hi, read_record(runs_[i], run_records[i] - 1));
   }
+  // floor((hi - lo + 1) x index / ranges), kept inside 64 bits.
+  const std::uint64_t width = hi - lo;
+  const auto range_floor = [lo, width, ranges](std::size_t index) {
+    return lo + width / ranges * index + (width % ranges + 1) * index / ranges;
+  };
   parts_.resize(ranges);
   std::vector<std::uint64_t> part_unique(ranges, 0);
   std::vector<std::function<void()>> tasks;
@@ -192,11 +215,8 @@ std::uint64_t ExternalDistinct::seal() {
     char name[32];
     std::snprintf(name, sizeof name, "part-%02zu.bin", r);
     parts_[r] = (fs::path(options_.spill_directory) / name).string();
-    tasks.push_back([this, r, ranges, &run_records, &part_unique] {
-      const auto range_floor = [ranges](std::size_t index) {
-        return static_cast<std::uint64_t>(
-            (static_cast<unsigned __int128>(index) << 64) / ranges);
-      };
+    tasks.push_back([this, r, ranges, &range_floor, &run_records,
+                     &part_unique] {
       std::ofstream out(parts_[r], std::ios::binary | std::ios::trunc);
       CSB_CHECK_MSG(out.is_open(), "cannot create spill run: " << parts_[r]);
       std::vector<std::unique_ptr<RunReader>> readers;

@@ -7,10 +7,11 @@
 // (dropping duplicates at the merge frontier) into sorted-unique part
 // files streamed back by scan().
 //
-// With a ThreadPool, seal() splits the key space [0, 2^64) into R even
-// ranges and runs R independent multi-way merges in parallel, one part
-// file per range. Every run is sorted, so each merge binary-searches its
-// key range's segment in every run and merges only that; ranges are
+// With a ThreadPool, seal() splits the keys' actual span — the smallest
+// first record to the largest last record over the sorted runs — into R
+// even ranges and runs R independent multi-way merges in parallel, one
+// part file per range. Every run is sorted, so each merge binary-searches
+// its key range's segment in every run and merges only that; ranges are
 // disjoint and emitted in ascending range order, so the concatenated
 // parts equal the serial single-merge stream exactly.
 //

@@ -11,11 +11,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "gen/generator.hpp"
 #include "mr/cluster.hpp"
@@ -221,6 +224,44 @@ TEST(TraceParseTest, FlagsNonMonotoneSpansAndDanglingParents) {
   std::vector<std::string> errors;
   parse_trace_ndjson(in, &errors);
   EXPECT_EQ(errors.size(), 2u);
+}
+
+// A trace file cut mid-record names the file and the line, both when the
+// first problem throws and when `csbgen report --check` collects them; a
+// path that cannot be opened is named too.
+TEST(TraceParseTest, TruncatedLineNamesFileAndLine) {
+  SpanRecord span;
+  span.id = 1;
+  span.name = "a";
+  span.kind = "serial";
+  span.t1 = 1.0;
+  const std::string whole = trace_lines::span(span);
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("csb_obs_test_truncated_" + std::to_string(::getpid()) + ".ndjson"))
+          .string();
+  std::ofstream(path) << trace_lines::meta({{"tool", "obs_test"}}) << '\n'
+                      << whole.substr(0, whole.size() / 2) << '\n';
+
+  try {
+    (void)parse_trace_file(path);
+    ADD_FAILURE() << "expected CsbError";
+  } catch (const CsbError& error) {
+    const std::string what = error.what();
+    EXPECT_EQ(what.rfind("bad trace " + path + ": line 2: ", 0), 0u) << what;
+  }
+  std::vector<std::string> errors;
+  (void)parse_trace_file(path, &errors);
+  ASSERT_FALSE(errors.empty());
+  EXPECT_EQ(errors[0].rfind("line 2: ", 0), 0u) << errors[0];
+  std::filesystem::remove(path);
+
+  try {
+    (void)parse_trace_file(path);
+    ADD_FAILURE() << "expected CsbError";
+  } catch (const CsbError& error) {
+    EXPECT_EQ(std::string(error.what()), "bad trace " + path + ": cannot open");
+  }
 }
 
 // -------------------------------------------------------------- recorder

@@ -532,6 +532,49 @@ PgpbaOptions pgpba_exact_options(const SeedBundle& seed) {
   return options;
 }
 
+// pgsk-fast --dedup re-multiplies its sealed distinct through the shared
+// emission: store:count and store:emit run as stages over the scan
+// segments, and no part of the emit is booked as a serial segment.
+TEST(MemoryStoreTest, PgskFastDedupEmitsAsStages) {
+  const SeedBundle seed = small_seed(300);
+  ScratchDir spill("dedup_stages");
+  PgskFastOptions options = pgsk_options(seed);
+  options.desired_edges = 400'000;
+  options.dedup = true;
+  options.dedup_budget_bytes = 1ULL << 19;  // the minimum: forces a spill
+  options.spill_directory = spill.str();
+
+  ThreadPool pool(4);
+  ClusterSim cluster(four_cores(), pool);
+  TraceRecorder recorder;
+  cluster.set_trace(&recorder);
+  Counter& spilled =
+      MetricsRegistry::instance().counter("store.distinct_spilled_runs");
+  const std::uint64_t runs_before = spilled.value();
+  MemoryStore store;
+  (void)pgsk_fast_generate_into(seed.graph, seed.profile, cluster, options,
+                                store);
+  cluster.set_trace(nullptr);
+  EXPECT_GT(spilled.value(), runs_before)
+      << "budget did not force a spill — the test is vacuous";
+
+  bool count_stage = false;
+  bool emit_stage = false;
+  for (const SpanRecord& span : recorder.spans()) {
+    if (span.kind != "stage") continue;
+    count_stage = count_stage || span.name == "store:count";
+    emit_stage = emit_stage || span.name == "store:emit";
+  }
+  EXPECT_TRUE(count_stage);
+  EXPECT_TRUE(emit_stage);
+  bool sealed = false;
+  for (const SerialSegment& segment : cluster.metrics().serial_segments) {
+    EXPECT_NE(segment.name, "store:emit");
+    sealed = sealed || segment.name == "store:distinct:seal";
+  }
+  EXPECT_TRUE(sealed);
+}
+
 // pgpba_generate is the MemoryStore capture of pgpba_generate_into; a fresh
 // sink run on a second cluster must land the identical graph and stats.
 TEST(MemoryStoreTest, PgpbaExactSinkMatchesClassicByteForByte) {
@@ -1227,6 +1270,50 @@ TEST(ExternalDistinctTest, RangePartitionedMergeMatchesSerialSortUnique) {
     });
     EXPECT_EQ(got, expected) << "pool " << pool_size;
   }
+}
+
+// Packed k = 18 edge keys lie below 2^50, so an even split of [0, 2^64)
+// would put every key in the first range. The merge splits the keys'
+// actual span instead: every range carries keys, and the segments still
+// concatenate to the serial merge's stream.
+TEST(ExternalDistinctTest, SealSplitsNarrowKeysAcrossRanges) {
+  std::mt19937_64 rng(18);
+  std::vector<std::uint64_t> keys(262'144);
+  for (auto& key : keys) {
+    key = ((rng() & ((1ULL << 18) - 1)) << 32) | (rng() & ((1ULL << 18) - 1));
+  }
+  ScratchDir serial_dir("distinct_narrow_serial");
+  ScratchDir split_dir("distinct_narrow_pool4");
+  ThreadPool pool(4);
+  // The minimum budget (64K keys) spills four runs.
+  ExternalDistinct serial(ExternalDistinctOptions{
+      .spill_directory = serial_dir.str(), .memory_budget_bytes = 1ULL << 19});
+  ExternalDistinct split(ExternalDistinctOptions{
+      .spill_directory = split_dir.str(),
+      .memory_budget_bytes = 1ULL << 19,
+      .pool = &pool});
+  for (std::size_t i = 0; i < keys.size(); i += 4096) {
+    serial.add(std::span(keys).subspan(i, 4096));
+    split.add(std::span(keys).subspan(i, 4096));
+  }
+  EXPECT_EQ(serial.seal(), split.seal());
+  EXPECT_GT(split.spilled_runs(), 1u);
+
+  std::vector<std::uint64_t> expected;
+  serial.scan([&](std::span<const std::uint64_t> chunk) {
+    expected.insert(expected.end(), chunk.begin(), chunk.end());
+  });
+  ASSERT_EQ(split.scan_segments(), 4u);
+  std::vector<std::uint64_t> got;
+  for (std::size_t s = 0; s < 4; ++s) {
+    std::size_t segment_keys = 0;
+    split.scan_segment(s, [&](std::span<const std::uint64_t> chunk) {
+      segment_keys += chunk.size();
+      got.insert(got.end(), chunk.begin(), chunk.end());
+    });
+    EXPECT_GT(segment_keys, 0u) << "segment " << s;
+  }
+  EXPECT_EQ(got, expected);
 }
 
 // ------------------------------------------------------- format registry
