@@ -27,7 +27,7 @@ cd "$(dirname "$0")/.."
 # optional clang-tidy pass. Cheapest gate, so it fails fastest.
 ./scripts/check_lint.sh
 
-FILTER="${1:-ClusterSim|Dataset|ThreadPool|FlatSet|ListSchedule|Operations|Trace|Metrics|Json|MemWatch|GeneratorRegistry|SimplifyParallel|KronFit|ParallelFor|ForkJoin|ShardStore|ExternalDistinct|PcapFile|FuzzSeed|FlowAssembler|ParallelAssembly|FlowGolden|OnDiskGolden}"
+FILTER="${1:-ClusterSim|Dataset|ThreadPool|FlatSet|ListSchedule|Operations|Trace|Metrics|Json|MemWatch|GeneratorRegistry|SimplifyParallel|KronFit|ParallelFor|ForkJoin|ShardStore|ExternalDistinct|PcapFile|FuzzSeed|FlowAssembler|ParallelAssembly|FlowGolden|OnDiskGolden|PropertySampler}"
 
 cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -87,7 +87,7 @@ done
 # Only the relevant test binaries are built; the uppercase suite filter
 # skips the lowercase *_NOT_BUILT placeholders gtest_discover_tests
 # registers for unbuilt targets.
-TSAN_FILTER="${2:-ThreadPool|ParallelFor|ForkJoin|MakeChunks|ClusterSim|Betweenness|WorkloadRunner|ParallelAssembly|FlowAssembler|FlowGolden|SeedPipeline|SeedDeterminism|SeedProfile|GraphFromNetflow|Conditional|Empirical|PcapFile|ShardStore|ExternalDistinct|MemoryStore|GeneratorGolden|PageRank|NormalizedDistribution|BallDrop|SkipAhead|PgskFast|PgpbaFast|StochasticKronecker}"
+TSAN_FILTER="${2:-ThreadPool|ParallelFor|ForkJoin|MakeChunks|ClusterSim|Betweenness|WorkloadRunner|ParallelAssembly|FlowAssembler|FlowGolden|SeedPipeline|SeedDeterminism|SeedProfile|GraphFromNetflow|Conditional|Empirical|PcapFile|ShardStore|ExternalDistinct|MemoryStore|GeneratorGolden|PageRank|NormalizedDistribution|BallDrop|SkipAhead|PgskFast|PgpbaFast|StochasticKronecker|PropertySampler}"
 
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

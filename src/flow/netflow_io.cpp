@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/format.hpp"
 
 namespace csb {
 
@@ -60,22 +61,6 @@ ConnState state_from_name(const std::string& s) {
   throw CsbError("unknown conn state: " + s);
 }
 
-/// A decimal field in [0, max]; throws CsbError naming the column.
-std::uint64_t parse_uint(const std::string& text, const char* column,
-                         std::uint64_t max) {
-  std::uint64_t value = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec == std::errc::invalid_argument || ptr != end) {
-    throw CsbError(std::string(column) + ": not a number: '" + text + "'");
-  }
-  if (ec == std::errc::result_out_of_range || value > max) {
-    throw CsbError(std::string(column) + ": " + text + " out of range (max " +
-                   std::to_string(max) + ")");
-  }
-  return value;
-}
-
 constexpr std::uint64_t kMax16 = 0xffff;
 constexpr std::uint64_t kMax32 = 0xffffffff;
 constexpr std::uint64_t kMax64 = ~std::uint64_t{0};
@@ -95,22 +80,22 @@ NetflowRecord parse_row(const std::string& line) {
   r.dst_ip = ip_from_string(fields[1]);
   r.protocol = protocol_from_name(fields[2]);
   r.src_port =
-      static_cast<std::uint16_t>(parse_uint(fields[3], "src_port", kMax16));
+      static_cast<std::uint16_t>(parse_decimal(fields[3], "src_port", kMax16));
   r.dst_port =
-      static_cast<std::uint16_t>(parse_uint(fields[4], "dst_port", kMax16));
-  r.first_us = parse_uint(fields[5], "first_us", kMax64);
-  r.last_us = parse_uint(fields[6], "last_us", kMax64);
+      static_cast<std::uint16_t>(parse_decimal(fields[4], "dst_port", kMax16));
+  r.first_us = parse_decimal(fields[5], "first_us", kMax64);
+  r.last_us = parse_decimal(fields[6], "last_us", kMax64);
   if (r.last_us < r.first_us) throw CsbError("last_us before first_us");
-  r.out_bytes = parse_uint(fields[7], "out_bytes", kMax64);
-  r.in_bytes = parse_uint(fields[8], "in_bytes", kMax64);
+  r.out_bytes = parse_decimal(fields[7], "out_bytes", kMax64);
+  r.in_bytes = parse_decimal(fields[8], "in_bytes", kMax64);
   r.out_pkts =
-      static_cast<std::uint32_t>(parse_uint(fields[9], "out_pkts", kMax32));
+      static_cast<std::uint32_t>(parse_decimal(fields[9], "out_pkts", kMax32));
   r.in_pkts =
-      static_cast<std::uint32_t>(parse_uint(fields[10], "in_pkts", kMax32));
+      static_cast<std::uint32_t>(parse_decimal(fields[10], "in_pkts", kMax32));
   r.syn_count =
-      static_cast<std::uint32_t>(parse_uint(fields[11], "syn_count", kMax32));
+      static_cast<std::uint32_t>(parse_decimal(fields[11], "syn_count", kMax32));
   r.ack_count =
-      static_cast<std::uint32_t>(parse_uint(fields[12], "ack_count", kMax32));
+      static_cast<std::uint32_t>(parse_decimal(fields[12], "ack_count", kMax32));
   r.state = state_from_name(fields[13]);
   return r;
 }

@@ -150,12 +150,13 @@ void run_property_stage(GraphStore& store, const SeedProfile& profile,
   const auto chunks =
       make_fixed_chunks(0, static_cast<std::size_t>(total_edges),
                         property_chunk_size(total_edges, partitions));
+  const PropertySampler sampler(profile);
   std::vector<std::function<void()>> tasks;
   tasks.reserve(chunks.size());
   for (const ChunkRange& chunk : chunks) {
-    tasks.push_back([&store, &profile, prop_seed, chunk] {
+    tasks.push_back([&store, &sampler, prop_seed, chunk] {
       PropertyColumns rows;
-      sample_property_chunk(profile, prop_seed, chunk, rows);
+      sampler.sample_chunk(prop_seed, chunk, rows);
       store.put_properties(chunk.begin, rows.view(0, rows.size()));
     });
   }

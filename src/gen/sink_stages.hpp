@@ -70,9 +70,10 @@ StoreHeader emit_re_multiplied(GraphStore& store, ClusterSim& cluster,
 /// Returns the distinct count.
 std::uint64_t seal_distinct(ClusterSim& cluster, ExternalDistinct& distinct);
 
-/// The store:props stage every generator shares: fixed global property
-/// chunks (geometry from 2x the virtual cores), sampled with per-chunk
-/// counter streams and written at their global offsets.
+/// The store:props stage every generator shares: compiles `profile` into a
+/// PropertySampler (gen/properties.hpp), then samples fixed global property
+/// chunks (geometry from 2x the virtual cores) with per-chunk counter
+/// streams, one task per chunk, each written at its global offset.
 void run_property_stage(GraphStore& store, const SeedProfile& profile,
                         ClusterSim& cluster, std::uint64_t prop_seed,
                         std::uint64_t total_edges);

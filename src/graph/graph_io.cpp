@@ -5,12 +5,15 @@
 #include <fstream>
 #include <istream>
 #include <iterator>
+#include <limits>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <type_traits>
 #include <vector>
 
 #include "util/error.hpp"
+#include "util/format.hpp"
 #include "util/input_reader.hpp"
 
 namespace csb {
@@ -64,7 +67,7 @@ Protocol protocol_from_string(const std::string& s) {
   if (s == "TCP") return Protocol::kTcp;
   if (s == "UDP") return Protocol::kUdp;
   if (s == "ICMP") return Protocol::kIcmp;
-  throw CsbError("unknown protocol in CSV: " + s);
+  throw CsbError("unknown protocol: " + s);
 }
 
 ConnState state_from_string(const std::string& s) {
@@ -76,7 +79,7 @@ ConnState state_from_string(const std::string& s) {
   if (s == "RSTO") return ConnState::kRsto;
   if (s == "RSTR") return ConnState::kRstr;
   if (s == "OTH") return ConnState::kOth;
-  throw CsbError("unknown conn state in CSV: " + s);
+  throw CsbError("unknown conn state: " + s);
 }
 
 }  // namespace
@@ -195,57 +198,93 @@ void save_csv(const PropertyGraph& graph, std::ostream& out) {
   CSB_CHECK_MSG(out.good(), "failed writing CSV graph stream");
 }
 
-PropertyGraph load_csv(std::istream& in) {
-  std::string line;
-  CSB_CHECK_MSG(static_cast<bool>(std::getline(in, line)),
-                "empty CSV graph stream");
-  CSB_CHECK_MSG(line.rfind("src,dst", 0) == 0, "missing CSV header");
+namespace {
 
-  PropertyGraph graph;
-  VertexId max_vertex = 0;
+constexpr std::size_t kCsvFields = 11;
+
+/// The comma-separated fields of `line`, a trailing empty field included.
+std::vector<std::string> split_csv_fields(const std::string& line) {
   std::vector<std::string> fields;
-  bool saw_edge = false;
-  // Two passes are avoided by buffering rows; typical CSV graphs are small
-  // (the binary format is the scale path).
+  for (std::size_t begin = 0;;) {
+    const std::size_t comma = line.find(',', begin);
+    fields.push_back(line.substr(begin, comma - begin));  // npos: the rest
+    if (comma == std::string::npos) return fields;
+    begin = comma + 1;
+  }
+}
+
+/// A CSV column of integer type T.
+template <typename T>
+T csv_field(const std::string& text, const char* column) {
+  return static_cast<T>(
+      parse_decimal(text, column, std::numeric_limits<T>::max()));
+}
+
+}  // namespace
+
+PropertyGraph load_csv(std::istream& in, const std::string& name) {
+  const auto bad = [&name](std::size_t line_number, const std::string& why) {
+    return CsbError("bad csv graph " + name + ": line " +
+                    std::to_string(line_number) + ": " + why);
+  };
+  std::string line;
+  if (!std::getline(in, line)) throw bad(1, "empty file, no header");
+  if (line.rfind("src,dst", 0) != 0) {
+    throw bad(1, "missing header (a line starting 'src,dst')");
+  }
+
+  // Rows are buffered so the vertex count is known before the first edge;
+  // typical CSV graphs are small (the binary format is the scale path).
   struct Row {
     VertexId src, dst;
-    bool has_props;
     EdgeProperties props;
   };
   std::vector<Row> rows;
-  while (std::getline(in, line)) {
+  VertexId max_vertex = 0;
+  std::optional<bool> with_props;
+  for (std::size_t line_number = 2; std::getline(in, line); ++line_number) {
     if (line.empty()) continue;
-    fields.clear();
-    std::stringstream ss(line);
-    std::string field;
-    while (std::getline(ss, field, ',')) fields.push_back(field);
-    // A trailing empty field (props-less rows) is dropped by getline; pad.
-    while (fields.size() < 11) fields.emplace_back();
-    CSB_CHECK_MSG(fields.size() == 11, "bad CSV row: " << line);
-    Row row{};
-    row.src = std::stoull(fields[0]);
-    row.dst = std::stoull(fields[1]);
-    row.has_props = !fields[2].empty();
-    if (row.has_props) {
-      row.props.protocol = protocol_from_string(fields[2]);
-      row.props.src_port = static_cast<std::uint16_t>(std::stoul(fields[3]));
-      row.props.dst_port = static_cast<std::uint16_t>(std::stoul(fields[4]));
-      row.props.duration_ms = static_cast<std::uint32_t>(std::stoul(fields[5]));
-      row.props.out_bytes = std::stoull(fields[6]);
-      row.props.in_bytes = std::stoull(fields[7]);
-      row.props.out_pkts = static_cast<std::uint32_t>(std::stoul(fields[8]));
-      row.props.in_pkts = static_cast<std::uint32_t>(std::stoul(fields[9]));
-      row.props.state = state_from_string(fields[10]);
+    try {
+      const std::vector<std::string> fields = split_csv_fields(line);
+      if (fields.size() != kCsvFields) {
+        throw CsbError("expected " + std::to_string(kCsvFields) +
+                       " fields, found " + std::to_string(fields.size()));
+      }
+      // The largest id must leave room for the vertex count.
+      Row row{.src = parse_decimal(fields[0], "src", ~VertexId{0} - 1),
+              .dst = parse_decimal(fields[1], "dst", ~VertexId{0} - 1),
+              .props = {}};
+      const bool has_props = !fields[2].empty();
+      if (with_props.value_or(has_props) != has_props) {
+        throw CsbError("mixes property and structure-only rows");
+      }
+      with_props = has_props;
+      if (has_props) {
+        EdgeProperties& p = row.props;
+        p.protocol = protocol_from_string(fields[2]);
+        p.src_port = csv_field<std::uint16_t>(fields[3], "src_port");
+        p.dst_port = csv_field<std::uint16_t>(fields[4], "dst_port");
+        p.duration_ms = csv_field<std::uint32_t>(fields[5], "duration_ms");
+        p.out_bytes = csv_field<std::uint64_t>(fields[6], "out_bytes");
+        p.in_bytes = csv_field<std::uint64_t>(fields[7], "in_bytes");
+        p.out_pkts = csv_field<std::uint32_t>(fields[8], "out_pkts");
+        p.in_pkts = csv_field<std::uint32_t>(fields[9], "in_pkts");
+        p.state = state_from_string(fields[10]);
+      } else if (std::any_of(fields.begin() + 3, fields.end(),
+                             [](const std::string& f) { return !f.empty(); })) {
+        throw CsbError("property fields on a row without a protocol");
+      }
+      max_vertex = std::max({max_vertex, row.src, row.dst});
+      rows.push_back(row);
+    } catch (const CsbError& error) {
+      throw bad(line_number, error.what());
     }
-    max_vertex = std::max({max_vertex, row.src, row.dst});
-    rows.push_back(row);
-    saw_edge = true;
   }
-  if (saw_edge) graph.add_vertices(max_vertex + 1);
+
+  PropertyGraph graph;
+  if (!rows.empty()) graph.add_vertices(max_vertex + 1);
   for (const Row& row : rows) {
-    CSB_CHECK_MSG(row.has_props == rows.front().has_props,
-                  "CSV mixes property and structure-only rows");
-    if (row.has_props) {
+    if (*with_props) {
       graph.add_edge(row.src, row.dst, row.props);
     } else {
       graph.add_edge(row.src, row.dst);

@@ -28,7 +28,12 @@ void save_binary_file(const PropertyGraph& graph, const std::string& path);
 PropertyGraph load_binary_file(const std::string& path);
 
 void save_csv(const PropertyGraph& graph, std::ostream& out);
-PropertyGraph load_csv(std::istream& in);
+/// Reads a graph save_csv wrote. Malformed input (an empty stream, a
+/// missing header, a row without 11 fields, a field that is not a number
+/// or out of its column's range, an unknown protocol or state, property
+/// rows mixed with structure-only rows) throws CsbError("bad csv graph
+/// <name>: line <n>: <reason>").
+PropertyGraph load_csv(std::istream& in, const std::string& name = "<stream>");
 
 void save_graphml(const PropertyGraph& graph, std::ostream& out);
 

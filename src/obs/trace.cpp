@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cerrno>
 #include <cmath>
 #include <istream>
 #include <ostream>
+#include <system_error>
 
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
@@ -247,12 +249,31 @@ void TraceRecorder::write_ndjson(std::ostream& out) const {
   }
 }
 
+namespace {
+
+/// A trace output path that cannot be opened is a user error:
+/// CsbError("cannot open trace file <path> for writing: <errno text>").
+[[noreturn]] void unopenable_trace_file(const std::string& path) {
+  const std::string reason =
+      std::error_code(errno, std::generic_category()).message();
+  throw CsbError("cannot open trace file " + path + " for writing: " + reason);
+}
+
+/// CsbError("cannot write trace file <path>: <errno text>").
+[[noreturn]] void unwritable_trace_file(const std::string& path) {
+  const std::string reason =
+      std::error_code(errno, std::generic_category()).message();
+  throw CsbError("cannot write trace file " + path + ": " + reason);
+}
+
+}  // namespace
+
 void TraceRecorder::write_ndjson_file(const std::string& path) const {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  CSB_CHECK_MSG(out.is_open(), "cannot open trace file for writing: " << path);
+  if (!out.is_open()) unopenable_trace_file(path);
   write_ndjson(out);
   out.flush();
-  CSB_CHECK_MSG(out.good(), "failed writing trace file: " << path);
+  if (!out.good()) unwritable_trace_file(path);
 }
 
 namespace {
@@ -269,7 +290,7 @@ void TraceRecorder::set_current(TraceRecorder* recorder) noexcept {
 
 TraceFileWriter::TraceFileWriter(const std::string& path)
     : out_(path, std::ios::binary | std::ios::trunc), path_(path) {
-  CSB_CHECK_MSG(out_.is_open(), "cannot open trace file for writing: " << path);
+  if (!out_.is_open()) unopenable_trace_file(path);
 }
 
 TraceFileWriter::~TraceFileWriter() { out_.flush(); }
@@ -285,7 +306,7 @@ void TraceFileWriter::write_bench(const BenchRecord& record) {
 
 void TraceFileWriter::write_line(const std::string& line) {
   out_ << line << '\n';
-  CSB_CHECK_MSG(out_.good(), "failed writing trace file: " << path_);
+  if (!out_.good()) unwritable_trace_file(path_);
 }
 
 std::string ParsedTrace::meta_value(std::string_view key,

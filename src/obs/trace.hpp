@@ -147,6 +147,9 @@ class TraceRecorder {
   /// are monotone non-decreasing — validated by the schema checker), then
   /// memory samples, then counters.
   void write_ndjson(std::ostream& out) const;
+  /// write_ndjson into the file at `path`. A path that cannot be opened
+  /// throws CsbError("cannot open trace file <path> for writing: <reason>"),
+  /// a failed write CsbError("cannot write trace file <path>: <reason>").
   void write_ndjson_file(const std::string& path) const;
 
   /// Process-wide "current recorder" slot for code without a ClusterSim
@@ -192,7 +195,8 @@ class PhaseScope {
 };
 
 /// Line-at-a-time csb.trace.v1 file writer for producers that stream
-/// records instead of collecting them (the bench emitters).
+/// records instead of collecting them (the bench emitters). Open and write
+/// failures throw the CsbErrors TraceRecorder::write_ndjson_file does.
 class TraceFileWriter {
  public:
   explicit TraceFileWriter(const std::string& path);

@@ -83,7 +83,15 @@ ConditionalDistribution read_conditional(InputReader& in) {
   std::vector<std::pair<std::uint32_t, EmpiricalDistribution>> parts;
   parts.reserve(buckets);
   for (std::uint64_t i = 0; i < buckets; ++i) {
+    const std::uint64_t key_at = in.offset();
     const auto key = in.read_pod<std::uint32_t>();
+    // Keys are written ascending, so a key at or below its predecessor is
+    // a repeat or out of order.
+    if (key >= ConditionalDistribution::kBucketSlots ||
+        (!parts.empty() && key <= parts.back().first)) {
+      in.fail(key_at, "condition bucket " + std::to_string(key) +
+                          " out of range or out of order");
+    }
     parts.emplace_back(key, read_empirical(in));
   }
   return ConditionalDistribution::from_parts(std::move(parts),

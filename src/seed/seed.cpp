@@ -226,28 +226,6 @@ SeedProfile SeedProfile::analyze(const PropertyGraph& seed,
   return profile;
 }
 
-EdgeProperties SeedProfile::sample_properties(Rng& rng) const {
-  EdgeProperties props;
-  const auto in_bytes = static_cast<std::uint64_t>(in_bytes_.sample(rng));
-  props.in_bytes = in_bytes;
-  props.protocol = static_cast<Protocol>(
-      static_cast<std::uint8_t>(protocol_.sample(in_bytes, rng)));
-  props.src_port =
-      static_cast<std::uint16_t>(src_port_.sample(in_bytes, rng));
-  props.dst_port =
-      static_cast<std::uint16_t>(dst_port_.sample(in_bytes, rng));
-  props.duration_ms =
-      static_cast<std::uint32_t>(duration_ms_.sample(in_bytes, rng));
-  props.out_bytes =
-      static_cast<std::uint64_t>(out_bytes_.sample(in_bytes, rng));
-  props.out_pkts =
-      static_cast<std::uint32_t>(out_pkts_.sample(in_bytes, rng));
-  props.in_pkts = static_cast<std::uint32_t>(in_pkts_.sample(in_bytes, rng));
-  props.state = static_cast<ConnState>(
-      static_cast<std::uint8_t>(state_.sample(in_bytes, rng)));
-  return props;
-}
-
 namespace {
 
 /// Shared decode core: decode_frame over fixed chunks of `n` frames

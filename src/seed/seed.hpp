@@ -23,7 +23,6 @@
 #include "pcap/pcap_file.hpp"
 #include "stats/conditional.hpp"
 #include "stats/empirical.hpp"
-#include "util/random.hpp"
 
 namespace csb {
 
@@ -101,9 +100,22 @@ class SeedProfile {
     return in_bytes_;
   }
 
-  /// Draws a full NetFlow attribute tuple: IN_BYTES from its marginal, then
-  /// every other attribute from its conditional given the drawn IN_BYTES.
-  [[nodiscard]] EdgeProperties sample_properties(Rng& rng) const;
+  /// Calls fn(field, p(a | IN_BYTES)) for the eight other attributes, where
+  /// `field` is the EdgeProperties member a stores. The order is the
+  /// per-row draw order of the property sampler (gen/properties.hpp):
+  /// protocol, src_port, dst_port, duration_ms, out_bytes, out_pkts,
+  /// in_pkts, state.
+  template <typename Fn>
+  void for_each_conditional(Fn&& fn) const {
+    fn(&EdgeProperties::protocol, protocol_);
+    fn(&EdgeProperties::src_port, src_port_);
+    fn(&EdgeProperties::dst_port, dst_port_);
+    fn(&EdgeProperties::duration_ms, duration_ms_);
+    fn(&EdgeProperties::out_bytes, out_bytes_);
+    fn(&EdgeProperties::out_pkts, out_pkts_);
+    fn(&EdgeProperties::in_pkts, in_pkts_);
+    fn(&EdgeProperties::state, state_);
+  }
 
   /// Number of fitted attribute distributions (the |properties| factor in
   /// the paper's O(|E| x |properties|) complexity).

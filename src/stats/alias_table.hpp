@@ -27,6 +27,11 @@ class AliasTable {
 
   [[nodiscard]] std::size_t size() const noexcept { return prob_.size(); }
 
+  /// Slot i keeps its own index when the uniform draw is below
+  /// threshold(i), and takes alias(i) otherwise (the two halves of sample).
+  [[nodiscard]] double threshold(std::size_t i) const { return prob_[i]; }
+  [[nodiscard]] std::uint32_t alias(std::size_t i) const { return alias_[i]; }
+
  private:
   std::vector<double> prob_;
   std::vector<std::uint32_t> alias_;

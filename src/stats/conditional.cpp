@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <optional>
 
 #include "util/error.hpp"
@@ -17,12 +16,6 @@ namespace {
 constexpr std::size_t kFitChunk = 1 << 14;
 
 }  // namespace
-
-std::uint32_t ConditionalDistribution::bucket_of(
-    std::uint64_t condition) noexcept {
-  if (condition == 0) return 0;
-  return std::bit_width(condition);  // 1 + floor(log2(v))
-}
 
 namespace {
 
@@ -121,26 +114,23 @@ ConditionalDistribution ConditionalDistribution::fit(
       [&value_of](std::size_t i) { return value_of(i); }, pool);
 }
 
-double ConditionalDistribution::sample(std::uint64_t condition,
-                                       Rng& rng) const {
-  const auto it = by_bucket_.find(bucket_of(condition));
-  if (it == by_bucket_.end()) return marginal_->sample(rng);
-  return it->second.sample(rng);
+std::size_t ConditionalDistribution::bucket_count() const noexcept {
+  return static_cast<std::size_t>(
+      std::count_if(by_bucket_.begin(), by_bucket_.end(),
+                    [](const auto& slot) { return slot.has_value(); }));
 }
 
 const EmpiricalDistribution& ConditionalDistribution::bucket(
     std::uint32_t b) const {
-  const auto it = by_bucket_.find(b);
-  CSB_CHECK_MSG(it != by_bucket_.end(), "unknown condition bucket " << b);
-  return it->second;
+  CSB_CHECK_MSG(has_bucket(b), "unknown condition bucket " << b);
+  return *by_bucket_[b];
 }
 
 std::vector<std::uint32_t> ConditionalDistribution::bucket_keys() const {
   std::vector<std::uint32_t> keys;
-  keys.reserve(by_bucket_.size());
-  // csblint: unordered-iteration-ok — keys are sorted on the next line
-  for (const auto& [key, dist] : by_bucket_) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
+  for (std::uint32_t b = 0; b < kBucketSlots; ++b) {
+    if (has_bucket(b)) keys.push_back(b);
+  }
   return keys;
 }
 
@@ -149,7 +139,9 @@ ConditionalDistribution ConditionalDistribution::from_parts(
     EmpiricalDistribution marginal) {
   ConditionalDistribution dist;
   for (auto& [key, empirical] : buckets) {
-    dist.by_bucket_.emplace(key, std::move(empirical));
+    CSB_CHECK_MSG(key < kBucketSlots && !dist.by_bucket_[key].has_value(),
+                  "condition bucket " << key << " out of range or repeated");
+    dist.by_bucket_[key] = std::move(empirical);
   }
   dist.marginal_ =
       std::make_shared<EmpiricalDistribution>(std::move(marginal));

@@ -8,15 +8,17 @@
 // cluster (mice vs elephants).
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <optional>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "stats/empirical.hpp"
-#include "util/random.hpp"
 
 namespace csb {
 
@@ -26,10 +28,12 @@ class ConditionalDistribution {
  public:
   /// Log2 bucket of the conditioning value; 0 maps to bucket 0, and values
   /// >= 1 map to 1 + floor(log2(v)) — at most kBucketSlots - 1.
-  static std::uint32_t bucket_of(std::uint64_t condition) noexcept;
+  static constexpr std::uint32_t bucket_of(std::uint64_t condition) noexcept {
+    return static_cast<std::uint32_t>(std::bit_width(condition));
+  }
 
   /// bucket_of is std::bit_width, so its range is [0, 64]: a fixed array
-  /// of 65 slots replaces any need for map-based grouping.
+  /// of 65 slots holds every bucket, and no map is needed.
   static constexpr std::size_t kBucketSlots = 65;
 
   /// Fits from (condition, value) observations. Also fits the marginal
@@ -50,30 +54,27 @@ class ConditionalDistribution {
       ThreadPool* pool = nullptr);
 
   /// Reassembles from previously fitted parts (deserialization path).
+  /// Every key must be below kBucketSlots and appear once.
   static ConditionalDistribution from_parts(
       std::vector<std::pair<std::uint32_t, EmpiricalDistribution>> buckets,
       EmpiricalDistribution marginal);
 
-  /// Draws from p(value | bucket_of(condition)), falling back to the
-  /// marginal when the bucket was never observed.
-  double sample(std::uint64_t condition, Rng& rng) const;
-
-  [[nodiscard]] std::size_t bucket_count() const noexcept {
-    return by_bucket_.size();
-  }
-  [[nodiscard]] bool has_bucket(std::uint32_t bucket) const {
-    return by_bucket_.contains(bucket);
+  [[nodiscard]] std::size_t bucket_count() const noexcept;
+  /// Whether p(value | bucket) was observed. Sampling an unobserved bucket
+  /// draws from the marginal instead (PropertySampler, gen/properties.hpp).
+  [[nodiscard]] bool has_bucket(std::uint32_t bucket) const noexcept {
+    return bucket < kBucketSlots && by_bucket_[bucket].has_value();
   }
   [[nodiscard]] const EmpiricalDistribution& marginal() const {
     return *marginal_;
   }
   [[nodiscard]] const EmpiricalDistribution& bucket(std::uint32_t b) const;
 
-  /// Sorted bucket keys (for serialization and inspection).
+  /// Observed bucket keys, ascending (for serialization and inspection).
   [[nodiscard]] std::vector<std::uint32_t> bucket_keys() const;
 
  private:
-  std::unordered_map<std::uint32_t, EmpiricalDistribution> by_bucket_;
+  std::array<std::optional<EmpiricalDistribution>, kBucketSlots> by_bucket_;
   std::shared_ptr<EmpiricalDistribution> marginal_;
 };
 

@@ -39,6 +39,12 @@ class EmpiricalDistribution {
   /// Draws a value from the empirical PMF. O(1).
   double sample(Rng& rng) const { return values_[alias_->sample(rng)]; }
 
+  /// The alias table sample() draws through; its slot i stands for
+  /// values()[i].
+  [[nodiscard]] const AliasTable& alias_table() const noexcept {
+    return *alias_;
+  }
+
   /// Sorted unique support values.
   [[nodiscard]] const std::vector<double>& values() const noexcept {
     return values_;

@@ -41,8 +41,10 @@ class CsvFormat final : public GraphFormat {
   }
   [[nodiscard]] PropertyGraph load(const std::string& path) const override {
     std::ifstream in(path);
-    CSB_CHECK_MSG(in.is_open(), "cannot open input file: " << path);
-    return load_csv(in);
+    if (!in.is_open()) {
+      throw CsbError("bad csv graph " + path + ": cannot open for reading");
+    }
+    return load_csv(in, path);
   }
 };
 

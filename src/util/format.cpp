@@ -1,8 +1,11 @@
 #include "util/format.hpp"
 
 #include <array>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+
+#include "util/error.hpp"
 
 namespace csb {
 
@@ -57,6 +60,21 @@ std::string sci(double value, int digits) {
   char buf[48];
   std::snprintf(buf, sizeof buf, "%.*e", digits - 1, value);
   return buf;
+}
+
+std::uint64_t parse_decimal(const std::string& text, const char* what,
+                            std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc::invalid_argument || ptr != end) {
+    throw CsbError(std::string(what) + ": not a number: '" + text + "'");
+  }
+  if (ec == std::errc::result_out_of_range || value > max) {
+    throw CsbError(std::string(what) + ": " + text + " out of range (max " +
+                   std::to_string(max) + ")");
+  }
+  return value;
 }
 
 }  // namespace csb

@@ -1,4 +1,5 @@
-// Human-readable formatting helpers for harness and log output.
+// Human-readable formatting helpers for harness and log output, and the
+// decimal field parser the text readers share.
 #pragma once
 
 #include <cstdint>
@@ -17,5 +18,11 @@ std::string human_seconds(double seconds);
 
 /// Compact scientific formatting with `digits` significant digits.
 std::string sci(double value, int digits = 3);
+
+/// The whole of `text` as a decimal in [0, max]. Anything else throws
+/// CsbError("<what>: not a number: '<text>'") or
+/// CsbError("<what>: <text> out of range (max <max>)").
+std::uint64_t parse_decimal(const std::string& text, const char* what,
+                            std::uint64_t max);
 
 }  // namespace csb

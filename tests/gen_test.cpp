@@ -9,6 +9,9 @@
 #include <filesystem>
 #include <numeric>
 #include <span>
+#include <sstream>
+#include <string>
+#include <type_traits>
 
 #include "gen/baselines.hpp"
 #include "gen/fast_samplers.hpp"
@@ -99,6 +102,124 @@ TEST(AssignPropertiesTest, DeterministicPerSeedValue) {
       with_sampled_properties(structure, seed.profile, cluster, 7);
   EXPECT_EQ(a, with_sampled_properties(structure, seed.profile, cluster, 7));
   EXPECT_NE(a, with_sampled_properties(structure, seed.profile, cluster, 8));
+}
+
+template <typename T>
+void put_pod(std::string& out, const T& value) {
+  out.append(reinterpret_cast<const char*>(&value), sizeof value);
+}
+
+/// A serialized EmpiricalDistribution: its (value, probability) pairs.
+void put_distribution(std::string& out,
+                      const std::vector<std::pair<double, double>>& mass) {
+  put_pod(out, static_cast<std::uint64_t>(mass.size()));
+  for (const auto& [value, probability] : mass) {
+    put_pod(out, value);
+    put_pod(out, probability);
+  }
+}
+
+/// A property column value as the seed profile stores it.
+template <typename T>
+double profile_value(T value) {
+  if constexpr (std::is_enum_v<T>) {
+    return static_cast<std::underlying_type_t<T>>(value);
+  } else {
+    return static_cast<double>(value);
+  }
+}
+
+// The property stream at chunk scale: every chunk of a 200k-row stage (16
+// chunks of property_chunk_size(200'000, 8) rows), FNV-1a over each
+// column's bytes in schema order. The golden generator graphs fit in one
+// chunk; this pins the per-chunk streams, the per-row draw order and each
+// column's cast over many chunks.
+TEST(PropertySamplerTest, ChunkColumnsMatchRecordedDigest) {
+  const SeedBundle seed = small_seed(300);
+  const PropertySampler sampler(seed.profile);
+  constexpr std::uint64_t kRows = 200'000;
+  const auto chunks =
+      make_fixed_chunks(0, kRows, property_chunk_size(kRows, 8));
+  ASSERT_EQ(chunks.size(), 16u);
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  PropertyColumns rows;
+  for (const ChunkRange& chunk : chunks) {
+    sampler.sample_chunk(29, chunk, rows);
+    ASSERT_EQ(rows.size(), chunk.end - chunk.begin);
+    rows.for_each_column([&hash](const auto& column) {
+      const auto* bytes =
+          reinterpret_cast<const unsigned char*>(column.data());
+      for (std::size_t i = 0; i < column.size() * sizeof(column[0]); ++i) {
+        hash = (hash ^ bytes[i]) * 0x100000001b3ULL;
+      }
+    });
+  }
+  EXPECT_EQ(hash, 0x9f9148009bea81a6ULL) << "digest is 0x" << std::hex
+                                         << hash;
+}
+
+TEST(PropertySamplerTest, UnseenBucketDrawsFromMarginal) {
+  // A profile whose eight conditionals observed IN_BYTES bucket 1 only:
+  // rows drawn with in_bytes 1 take the bucket's values (`observed`), rows
+  // drawn with in_bytes 5000 (bucket 13) take the marginals' (`unseen`).
+  const EdgeProperties observed{.protocol = Protocol::kTcp,
+                                .src_port = 1000,
+                                .dst_port = 80,
+                                .duration_ms = 10,
+                                .out_bytes = 300,
+                                .in_bytes = 1,
+                                .out_pkts = 3,
+                                .in_pkts = 5,
+                                .state = ConnState::kSF};
+  const EdgeProperties unseen{.protocol = Protocol::kUdp,
+                              .src_port = 2000,
+                              .dst_port = 443,
+                              .duration_ms = 20,
+                              .out_bytes = 400,
+                              .in_bytes = 5000,
+                              .out_pkts = 4,
+                              .in_pkts = 6,
+                              .state = ConnState::kRej};
+  std::string bytes = "CSBP";
+  put_pod(bytes, std::uint32_t{1});  // version
+  put_pod(bytes, std::uint64_t{2});  // seed vertices
+  put_pod(bytes, std::uint64_t{2});  // seed edges
+  put_distribution(bytes, {{1.0, 1.0}});  // in-degree
+  put_distribution(bytes, {{1.0, 1.0}});  // out-degree
+  put_distribution(bytes, {{1.0, 0.5}, {5000.0, 0.5}});  // in_bytes
+  const auto put_conditional = [&](auto field) {
+    put_pod(bytes, std::uint64_t{1});  // one observed bucket...
+    put_pod(bytes, ConditionalDistribution::bucket_of(1));  // ...bucket 1
+    put_distribution(bytes, {{profile_value(observed.*field), 1.0}});
+    put_distribution(bytes, {{profile_value(unseen.*field), 1.0}});
+  };
+  put_conditional(&EdgeProperties::protocol);
+  put_conditional(&EdgeProperties::src_port);
+  put_conditional(&EdgeProperties::dst_port);
+  put_conditional(&EdgeProperties::duration_ms);
+  put_conditional(&EdgeProperties::out_bytes);
+  put_conditional(&EdgeProperties::out_pkts);
+  put_conditional(&EdgeProperties::in_pkts);
+  put_conditional(&EdgeProperties::state);
+  std::istringstream in(bytes);
+  const SeedProfile profile = SeedProfile::load(in);
+  ASSERT_GT(profile.in_bytes().pmf(5000.0), 0.0);
+
+  PropertyColumns rows;
+  PropertySampler(profile).sample_chunk(
+      5, ChunkRange{.begin = 0, .end = 1000, .chunk_index = 0}, rows);
+  std::size_t unseen_rows = 0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const EdgeProperties row = rows.row(i);
+    if (row.in_bytes == observed.in_bytes) {
+      EXPECT_EQ(row, observed) << "row " << i;
+    } else {
+      EXPECT_EQ(row, unseen) << "row " << i;
+      ++unseen_rows;
+    }
+  }
+  EXPECT_GT(unseen_rows, 0u);
+  EXPECT_LT(unseen_rows, rows.size());
 }
 
 // ----------------------------------------------------------------- PGPBA

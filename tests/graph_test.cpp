@@ -736,6 +736,65 @@ TEST(CsvIoTest, RejectsMissingHeader) {
   EXPECT_THROW(load_csv(buffer), CsbError);
 }
 
+struct BadCsvCase {
+  const char* what;
+  std::string text;
+  int line;
+  std::string reason;
+};
+
+// One malformed input per reason the CSV reader rejects; each must throw
+// a CsbError naming the source and the line, never an assertion text.
+TEST(CsvIoTest, MalformedInputNamesFileAndLine) {
+  const std::string header =
+      "src,dst,protocol,src_port,dst_port,duration_ms,out_bytes,in_bytes,"
+      "out_pkts,in_pkts,state\n";
+  const std::string good = "0,1,TCP,1000,80,5,300,400,3,4,SF\n";
+  const std::vector<BadCsvCase> cases = {
+      {"empty file", "", 1, "empty file, no header"},
+      {"no header", good, 1, "missing header (a line starting 'src,dst')"},
+      {"short row", header + "0,1,,,,,,,,\n", 2,
+       "expected 11 fields, found 10"},
+      {"long row", header + good + "0,1,TCP,1000,80,5,300,400,3,4,SF,x\n", 3,
+       "expected 11 fields, found 12"},
+      {"non-numeric vertex", header + "x,1,,,,,,,,,\n", 2,
+       "src: not a number: 'x'"},
+      {"signed vertex", header + "0,-1,,,,,,,,,\n", 2,
+       "dst: not a number: '-1'"},
+      {"vertex past the id range",
+       header + "18446744073709551615,1,,,,,,,,,\n", 2,
+       "src: 18446744073709551615 out of range (max 18446744073709551614)"},
+      {"port out of range", header + "0,1,TCP,70000,80,5,300,400,3,4,SF\n", 2,
+       "src_port: 70000 out of range (max 65535)"},
+      {"u64 overflow",
+       header + "0,1,TCP,1,80,5,99999999999999999999,400,3,4,SF\n", 2,
+       "out_bytes: 99999999999999999999 out of range (max "
+       "18446744073709551615)"},
+      {"trailing junk", header + "0,1,TCP,1,80,5x,300,400,3,4,SF\n", 2,
+       "duration_ms: not a number: '5x'"},
+      {"unknown protocol", header + "\n0,1,XTP,1,80,5,300,400,3,4,SF\n", 3,
+       "unknown protocol: XTP"},
+      {"unknown state", header + "0,1,UDP,1,80,5,300,400,3,4,ZZ\n", 2,
+       "unknown conn state: ZZ"},
+      {"property fields without a protocol", header + "0,1,,1,,,,,,,\n", 2,
+       "property fields on a row without a protocol"},
+      {"mixed rows", header + good + "2,3,,,,,,,,,\n", 3,
+       "mixes property and structure-only rows"},
+  };
+  for (const BadCsvCase& c : cases) {
+    SCOPED_TRACE(c.what);
+    std::stringstream buffer(c.text);
+    try {
+      (void)load_csv(buffer, "graph.csv");
+      ADD_FAILURE() << "accepted";
+    } catch (const CsbError& error) {
+      EXPECT_EQ(std::string(error.what()),
+                "bad csv graph graph.csv: line " + std::to_string(c.line) +
+                    ": " + c.reason);
+    }
+  }
+}
+
 TEST(GraphmlTest, ContainsNodesEdgesAndAttributes) {
   PropertyGraph g(2);
   g.add_edge(0, 1, sample_props());

@@ -378,6 +378,47 @@ TEST(TraceRecorderTest, NullRecorderIsANoOp) {
 
 // ------------------------------------------------------ metrics + memory
 
+// --------------------------------------------------------- trace writing
+
+/// The CsbError message `write` throws; empty if it throws none.
+template <typename Write>
+std::string write_error(Write&& write) {
+  try {
+    write();
+  } catch (const CsbError& error) {
+    return error.what();
+  }
+  return {};
+}
+
+TEST(TraceWriteTest, UnopenablePathNamesFile) {
+  const std::string path =
+      ::testing::TempDir() + "/csb-no-such-dir/run.ndjson";
+  const std::string expected =
+      "cannot open trace file " + path + " for writing: ";
+  const TraceRecorder recorder;
+  const std::string from_recorder =
+      write_error([&] { recorder.write_ndjson_file(path); });
+  EXPECT_EQ(from_recorder.rfind(expected, 0), 0u) << from_recorder;
+  EXPECT_GT(from_recorder.size(), expected.size()) << "no reason given";
+  const std::string from_writer =
+      write_error([&] { const TraceFileWriter writer(path); });
+  EXPECT_EQ(from_writer.rfind(expected, 0), 0u) << from_writer;
+  for (const std::string& message : {from_recorder, from_writer}) {
+    EXPECT_EQ(message.find("CSB_CHECK"), std::string::npos) << message;
+  }
+}
+
+TEST(TraceWriteTest, FailedWriteNamesFile) {
+  // /dev/full opens for writing and fails every write with ENOSPC.
+  if (access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  const TraceRecorder recorder;
+  const std::string message =
+      write_error([&] { recorder.write_ndjson_file("/dev/full"); });
+  EXPECT_EQ(message.rfind("cannot write trace file /dev/full: ", 0), 0u)
+      << message;
+}
+
 TEST(MetricsRegistryTest, CountersGaugesAndSnapshot) {
   MetricsRegistry& registry = MetricsRegistry::instance();
   registry.reset_all();

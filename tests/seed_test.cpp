@@ -9,6 +9,7 @@
 #include <string>
 
 #include "flow/netflow_io.hpp"
+#include "gen/properties.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/graph_io.hpp"
 #include "obs/trace.hpp"
@@ -49,6 +50,16 @@ std::vector<NetflowRecord> tiny_records() {
   ca.protocol = Protocol::kUdp;
   ca.state = ConnState::kNone;
   return {ab1, ab2, bc, ca};
+}
+
+/// `count` property rows drawn from `profile` by the compiled sampler, as
+/// property chunk 0 of `seed`.
+PropertyColumns sampled_rows(const SeedProfile& profile, std::uint64_t seed,
+                             std::size_t count) {
+  PropertyColumns rows;
+  PropertySampler(profile).sample_chunk(
+      seed, ChunkRange{.begin = 0, .end = count, .chunk_index = 0}, rows);
+  return rows;
 }
 
 // ------------------------------------------------------- graph mapping
@@ -154,9 +165,9 @@ TEST(SeedProfileTest, SampledPropertiesStayInSeedSupport) {
   const auto profile = SeedProfile::analyze(graph);
   const std::set<std::uint64_t> seed_in_bytes = {5000, 800, 200000};
   const std::set<std::uint16_t> seed_ports = {80, 443};
-  Rng rng(3);
-  for (int i = 0; i < 500; ++i) {
-    const EdgeProperties p = profile.sample_properties(rng);
+  const PropertyColumns rows = sampled_rows(profile, 3, 500);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const EdgeProperties p = rows.row(i);
     EXPECT_TRUE(seed_in_bytes.contains(p.in_bytes));
     EXPECT_TRUE(seed_ports.contains(p.dst_port));
     EXPECT_TRUE(p.protocol == Protocol::kTcp || p.protocol == Protocol::kUdp);
@@ -171,10 +182,10 @@ TEST(SeedProfileTest, ConditionalStructureIsRespected) {
   // conditional p(dst_port | in_bytes=800-bucket) must put all mass there.
   const auto graph = graph_from_netflow(tiny_records());
   const auto profile = SeedProfile::analyze(graph);
-  Rng rng(4);
+  const PropertyColumns rows = sampled_rows(profile, 4, 2000);
   int n800 = 0;
-  for (int i = 0; i < 2000 && n800 < 50; ++i) {
-    const EdgeProperties p = profile.sample_properties(rng);
+  for (std::size_t i = 0; i < rows.size() && n800 < 50; ++i) {
+    const EdgeProperties p = rows.row(i);
     if (p.in_bytes == 800) {
       ++n800;
       EXPECT_EQ(p.dst_port, 443u);
@@ -238,11 +249,7 @@ TEST(SeedProfileIoTest, RoundTripsExactly) {
   EXPECT_TRUE(loaded == profile);
   EXPECT_EQ(loaded.seed_vertices(), profile.seed_vertices());
   // Sampling behaves identically after the round trip.
-  Rng a(7);
-  Rng b(7);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(profile.sample_properties(a), loaded.sample_properties(b));
-  }
+  EXPECT_EQ(sampled_rows(profile, 7, 100), sampled_rows(loaded, 7, 100));
 }
 
 TEST(SeedProfileIoTest, FileRoundTripAndErrors) {
@@ -326,6 +333,35 @@ TEST(SeedProfileIoTest, NegativeProbabilityNamesFileAndOffset) {
     EXPECT_EQ(message.find("CSB_CHECK failed"), std::string::npos) << message;
   }
   std::remove(path.c_str());
+}
+
+// A condition-bucket key names one of the 65 log2 slots; a key past them
+// is bad input at its offset, not a failed check in ConditionalDistribution.
+TEST(SeedProfileIoTest, BucketKeyOutOfRangeNamesOffset) {
+  const SeedBundle bundle = build_seed_from_netflow(tiny_records());
+  std::stringstream full;
+  bundle.profile.save(full);
+  std::string bytes = full.str();
+  // Header (24 bytes), three distributions of (size, then 16 bytes per
+  // support value), then the protocol conditional's bucket count (8).
+  std::size_t key_at = 24 + 8;
+  for (const EmpiricalDistribution* dist :
+       {&bundle.profile.in_degree(), &bundle.profile.out_degree(),
+        &bundle.profile.in_bytes()}) {
+    key_at += 8 + 16 * dist->support_size();
+  }
+  const std::uint32_t key = 99;
+  bytes.replace(key_at, sizeof key, reinterpret_cast<const char*>(&key),
+                sizeof key);
+  std::istringstream in(bytes);
+  try {
+    (void)SeedProfile::load(in, "cut.profile");
+    ADD_FAILURE() << "bucket key 99 loaded";
+  } catch (const CsbError& error) {
+    EXPECT_EQ(std::string(error.what()),
+              "bad seed profile cut.profile: byte " + std::to_string(key_at) +
+                  ": condition bucket 99 out of range or out of order");
+  }
 }
 
 // ------------------------------------------------------ pool determinism

@@ -219,20 +219,26 @@ TEST(ConditionalTest, SamplesFromMatchingBucketOnly) {
   for (int i = 0; i < 50; ++i) obs.emplace_back(1, 100.0);
   for (int i = 0; i < 50; ++i) obs.emplace_back(2048, 900.0);
   const auto dist = ConditionalDistribution::fit(obs);
+  const auto low = ConditionalDistribution::bucket_of(1);
+  const auto high = ConditionalDistribution::bucket_of(2048);
+  // 3000 lands in the same log2 bucket as 2048.
+  EXPECT_EQ(ConditionalDistribution::bucket_of(3000), high);
+  EXPECT_EQ(dist.bucket_keys(), (std::vector<std::uint32_t>{low, high}));
   Rng rng(4);
   for (int i = 0; i < 200; ++i) {
-    EXPECT_DOUBLE_EQ(dist.sample(1, rng), 100.0);
-    EXPECT_DOUBLE_EQ(dist.sample(2048, rng), 900.0);
-    EXPECT_DOUBLE_EQ(dist.sample(3000, rng), 900.0);  // same log2 bucket
+    EXPECT_DOUBLE_EQ(dist.bucket(low).sample(rng), 100.0);
+    EXPECT_DOUBLE_EQ(dist.bucket(high).sample(rng), 900.0);
   }
 }
 
 TEST(ConditionalTest, FallsBackToMarginalForUnseenBucket) {
   std::vector<std::pair<std::uint64_t, double>> obs = {{1, 5.0}, {1, 5.0}};
   const auto dist = ConditionalDistribution::fit(obs);
-  Rng rng(4);
-  // Bucket of 1e6 was never observed; the marginal only contains 5.0.
-  EXPECT_DOUBLE_EQ(dist.sample(1'000'000, rng), 5.0);
+  // Bucket of 1e6 was never observed, so a draw there takes the marginal
+  // (PropertySamplerTest.UnseenBucketDrawsFromMarginal samples it), which
+  // only contains 5.0.
+  EXPECT_FALSE(dist.has_bucket(ConditionalDistribution::bucket_of(1'000'000)));
+  EXPECT_EQ(dist.marginal().values(), std::vector<double>{5.0});
 }
 
 TEST(ConditionalTest, TracksBucketCount) {
