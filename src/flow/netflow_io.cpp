@@ -8,6 +8,7 @@
 
 #include "util/error.hpp"
 #include "util/format.hpp"
+#include "util/input_reader.hpp"
 
 namespace csb {
 
@@ -42,35 +43,9 @@ std::uint32_t ip_from_string(const std::string& text) {
 
 namespace {
 
-Protocol protocol_from_name(const std::string& s) {
-  if (s == "TCP") return Protocol::kTcp;
-  if (s == "UDP") return Protocol::kUdp;
-  if (s == "ICMP") return Protocol::kIcmp;
-  throw CsbError("unknown protocol: " + s);
-}
-
-ConnState state_from_name(const std::string& s) {
-  if (s == "-") return ConnState::kNone;
-  if (s == "S0") return ConnState::kS0;
-  if (s == "S1") return ConnState::kS1;
-  if (s == "SF") return ConnState::kSF;
-  if (s == "REJ") return ConnState::kRej;
-  if (s == "RSTO") return ConnState::kRsto;
-  if (s == "RSTR") return ConnState::kRstr;
-  if (s == "OTH") return ConnState::kOth;
-  throw CsbError("unknown conn state: " + s);
-}
-
-constexpr std::uint64_t kMax16 = 0xffff;
-constexpr std::uint64_t kMax32 = 0xffffffff;
-constexpr std::uint64_t kMax64 = ~std::uint64_t{0};
-
 /// One data row; throws CsbError saying which field is bad.
 NetflowRecord parse_row(const std::string& line) {
-  std::vector<std::string> fields;
-  std::stringstream ss(line);
-  std::string field;
-  while (std::getline(ss, field, ',')) fields.push_back(field);
+  const std::vector<std::string> fields = split_csv_fields(line);
   if (fields.size() != 14) {
     throw CsbError("expected 14 fields, found " +
                    std::to_string(fields.size()));
@@ -78,25 +53,19 @@ NetflowRecord parse_row(const std::string& line) {
   NetflowRecord r;
   r.src_ip = ip_from_string(fields[0]);
   r.dst_ip = ip_from_string(fields[1]);
-  r.protocol = protocol_from_name(fields[2]);
-  r.src_port =
-      static_cast<std::uint16_t>(parse_decimal(fields[3], "src_port", kMax16));
-  r.dst_port =
-      static_cast<std::uint16_t>(parse_decimal(fields[4], "dst_port", kMax16));
-  r.first_us = parse_decimal(fields[5], "first_us", kMax64);
-  r.last_us = parse_decimal(fields[6], "last_us", kMax64);
+  r.protocol = protocol_from_string(fields[2]);
+  r.src_port = parse_decimal<std::uint16_t>(fields[3], "src_port");
+  r.dst_port = parse_decimal<std::uint16_t>(fields[4], "dst_port");
+  r.first_us = parse_decimal<std::uint64_t>(fields[5], "first_us");
+  r.last_us = parse_decimal<std::uint64_t>(fields[6], "last_us");
   if (r.last_us < r.first_us) throw CsbError("last_us before first_us");
-  r.out_bytes = parse_decimal(fields[7], "out_bytes", kMax64);
-  r.in_bytes = parse_decimal(fields[8], "in_bytes", kMax64);
-  r.out_pkts =
-      static_cast<std::uint32_t>(parse_decimal(fields[9], "out_pkts", kMax32));
-  r.in_pkts =
-      static_cast<std::uint32_t>(parse_decimal(fields[10], "in_pkts", kMax32));
-  r.syn_count =
-      static_cast<std::uint32_t>(parse_decimal(fields[11], "syn_count", kMax32));
-  r.ack_count =
-      static_cast<std::uint32_t>(parse_decimal(fields[12], "ack_count", kMax32));
-  r.state = state_from_name(fields[13]);
+  r.out_bytes = parse_decimal<std::uint64_t>(fields[7], "out_bytes");
+  r.in_bytes = parse_decimal<std::uint64_t>(fields[8], "in_bytes");
+  r.out_pkts = parse_decimal<std::uint32_t>(fields[9], "out_pkts");
+  r.in_pkts = parse_decimal<std::uint32_t>(fields[10], "in_pkts");
+  r.syn_count = parse_decimal<std::uint32_t>(fields[11], "syn_count");
+  r.ack_count = parse_decimal<std::uint32_t>(fields[12], "ack_count");
+  r.state = state_from_string(fields[13]);
   return r;
 }
 
@@ -114,42 +83,28 @@ void save_netflow_csv(const std::vector<NetflowRecord>& records,
         << r.syn_count << ',' << r.ack_count << ',' << to_string(r.state)
         << '\n';
   }
-  CSB_CHECK_MSG(out.good(), "failed writing netflow CSV");
 }
 
-std::vector<NetflowRecord> load_netflow_csv(std::istream& in,
+std::vector<NetflowRecord> load_netflow_csv(std::istream& stream,
                                             const std::string& name) {
-  const auto bad = [&name](std::size_t line_number, const std::string& why) {
-    return CsbError("bad netflow CSV " + name + ": line " +
-                    std::to_string(line_number) + ": " + why);
-  };
-  std::string line;
-  if (!std::getline(in, line)) throw bad(1, "empty file, no header");
-  if (line.rfind("src_ip,", 0) != 0) {
-    throw bad(1, "missing header (a line starting 'src_ip,')");
-  }
+  LineReader in(stream, "netflow CSV", name);
+  in.expect_header("src_ip,");
   std::vector<NetflowRecord> records;
-  for (std::size_t line_number = 2; std::getline(in, line); ++line_number) {
-    if (line.empty()) continue;
-    try {
-      records.push_back(parse_row(line));
-    } catch (const CsbError& error) {
-      throw bad(line_number, error.what());
-    }
-  }
+  in.for_each_line([&records](const std::string& line) {
+    records.push_back(parse_row(line));
+  });
   return records;
 }
 
 void save_netflow_csv_file(const std::vector<NetflowRecord>& records,
                            const std::string& path) {
-  std::ofstream out(path);
-  if (!out.is_open()) throw CsbError("cannot open for writing: " + path);
+  std::ofstream out = open_output("netflow CSV", path);
   save_netflow_csv(records, out);
+  close_output(out, "netflow CSV", path);
 }
 
 std::vector<NetflowRecord> load_netflow_csv_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.is_open()) throw CsbError("cannot open for reading: " + path);
+  std::ifstream in = open_input("netflow CSV", path);
   return load_netflow_csv(in, path);
 }
 

@@ -33,23 +33,32 @@ using EdgeId = std::uint64_t;
 template <typename T>
 using PropertyColumn = std::vector<T, DefaultInitAllocator<T>>;
 
+/// One column of the NetFlow schema: the EdgeProperties member it stores
+/// and its name in the text formats (the CSV header, the GraphML keys).
+template <typename T>
+struct NetflowField {
+  T EdgeProperties::*member;
+  const char* name;
+};
+
 /// The NetFlow column schema: the one list of the nine property columns,
 /// in the order every format lays them out (props-NNNN.bin, the binary
-/// graph dump). Calls fn(field, sets.<column>...) once per column, where
-/// `field` is the EdgeProperties member the column stores and each column
-/// set in `sets` (zero or more PropertyColumns / PropertyRowsView)
+/// graph dump, the CSV and GraphML files). Calls fn(field, sets.<column>...)
+/// once per column, where `field` is the column's NetflowField and each
+/// column set in `sets` (zero or more PropertyColumns / PropertyRowsView)
 /// contributes its column of that name. Every column walk is built on it.
 template <typename Fn, typename... Sets>
 constexpr void zip_netflow_columns(Fn&& fn, Sets&... sets) {
-  fn(&EdgeProperties::protocol, sets.protocol...);
-  fn(&EdgeProperties::src_port, sets.src_port...);
-  fn(&EdgeProperties::dst_port, sets.dst_port...);
-  fn(&EdgeProperties::duration_ms, sets.duration_ms...);
-  fn(&EdgeProperties::out_bytes, sets.out_bytes...);
-  fn(&EdgeProperties::in_bytes, sets.in_bytes...);
-  fn(&EdgeProperties::out_pkts, sets.out_pkts...);
-  fn(&EdgeProperties::in_pkts, sets.in_pkts...);
-  fn(&EdgeProperties::state, sets.state...);
+  fn(NetflowField{&EdgeProperties::protocol, "protocol"}, sets.protocol...);
+  fn(NetflowField{&EdgeProperties::src_port, "src_port"}, sets.src_port...);
+  fn(NetflowField{&EdgeProperties::dst_port, "dst_port"}, sets.dst_port...);
+  fn(NetflowField{&EdgeProperties::duration_ms, "duration_ms"},
+     sets.duration_ms...);
+  fn(NetflowField{&EdgeProperties::out_bytes, "out_bytes"}, sets.out_bytes...);
+  fn(NetflowField{&EdgeProperties::in_bytes, "in_bytes"}, sets.in_bytes...);
+  fn(NetflowField{&EdgeProperties::out_pkts, "out_pkts"}, sets.out_pkts...);
+  fn(NetflowField{&EdgeProperties::in_pkts, "in_pkts"}, sets.in_pkts...);
+  fn(NetflowField{&EdgeProperties::state, "state"}, sets.state...);
 }
 
 /// The nine NetFlow columns (all the same length) over a column type:
@@ -83,7 +92,7 @@ struct NetflowColumns {
   [[nodiscard]] EdgeProperties row(std::size_t i) const {
     EdgeProperties props;
     zip_netflow_columns(
-        [&](auto field, const auto& column) { props.*field = column[i]; },
+        [&](auto field, const auto& col) { props.*field.member = col[i]; },
         *this);
     return props;
   }
@@ -105,7 +114,7 @@ struct PropertyColumns : NetflowColumns<PropertyColumn> {
   static constexpr std::uint64_t kRowBytes = [] {
     std::uint64_t bytes = 0;
     zip_netflow_columns([&bytes](auto field) {
-      bytes += sizeof(std::declval<EdgeProperties&>().*field);
+      bytes += sizeof(std::declval<EdgeProperties&>().*field.member);
     });
     return bytes;
   }();
@@ -120,12 +129,12 @@ struct PropertyColumns : NetflowColumns<PropertyColumn> {
   }
   void push_back(const EdgeProperties& props) {
     zip_netflow_columns(
-        [&props](auto field, auto& column) { column.push_back(props.*field); },
+        [&props](auto field, auto& col) { col.push_back(props.*field.member); },
         *this);
   }
   void set_row(std::size_t i, const EdgeProperties& props) {
     zip_netflow_columns(
-        [&](auto field, auto& column) { column[i] = props.*field; }, *this);
+        [&](auto field, auto& col) { col[i] = props.*field.member; }, *this);
   }
 
   /// Rows [first, first + count).

@@ -195,8 +195,10 @@ class PhaseScope {
 };
 
 /// Line-at-a-time csb.trace.v1 file writer for producers that stream
-/// records instead of collecting them (the bench emitters). Open and write
-/// failures throw the CsbErrors TraceRecorder::write_ndjson_file does.
+/// records instead of collecting them (the bench emitters), and for a
+/// recorder's file opened before the run it records (csbgen). Open and
+/// write failures throw the CsbErrors TraceRecorder::write_ndjson_file
+/// does.
 class TraceFileWriter {
  public:
   explicit TraceFileWriter(const std::string& path);
@@ -205,6 +207,8 @@ class TraceFileWriter {
   void write_meta(
       const std::vector<std::pair<std::string, std::string>>& attrs);
   void write_bench(const BenchRecord& record);
+  /// recorder.write_ndjson into the file.
+  void write_recorder(const TraceRecorder& recorder);
   void write_line(const std::string& line);
 
  private:

@@ -4,14 +4,13 @@
 #include <sys/stat.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <ostream>
-#include <system_error>
 #include <utility>
 
 #include "util/error.hpp"
+#include "util/input_reader.hpp"
 #include "util/scoped_fd.hpp"
 
 namespace csb {
@@ -51,20 +50,11 @@ std::uint16_t load16(const std::uint8_t* p, bool swapped) noexcept {
   return swapped ? byteswap16(v) : v;
 }
 
-/// Rejects malformed input, naming the file and the offset of the field
-/// that failed.
-[[noreturn]] void bad_pcap(const std::string& path, std::uint64_t offset,
-                           const std::string& reason) {
-  throw CsbError("bad pcap " + path + ": byte " + std::to_string(offset) +
-                 ": " + reason);
-}
-
 /// A failed system call on `path`, with the errno text. Takes no argument
 /// that needs constructing, so nothing runs between the call and the read
 /// of errno.
 [[noreturn]] void io_failure(const char* what, const std::string& path) {
-  const std::string reason =
-      std::error_code(errno, std::generic_category()).message();
+  const std::string reason = errno_text();
   throw CsbError(std::string(what) + " " + path + ": " + reason);
 }
 
@@ -117,17 +107,17 @@ void PcapWriter::write(const PcapPacket& packet) {
 
 void write_pcap_file(const std::string& path,
                      const std::vector<PcapPacket>& packets) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out.is_open()) {
-    throw CsbError("cannot write pcap " + path + ": cannot open for writing");
-  }
+  std::ofstream out = open_output("pcap", path);
   PcapWriter writer(out, 65535, path);
   for (const auto& packet : packets) writer.write(packet);
-  out.close();
-  if (!out) throw CsbError("cannot write pcap " + path + ": close failed");
+  close_output(out, "pcap", path);
 }
 
 IndexedPcap index_pcap_file(const std::string& path) {
+  // Malformed input names the file and the offset of the field that failed.
+  const auto bad = [&path](std::uint64_t offset, const std::string& reason) {
+    return bad_input("pcap", path, InputUnit::kByte, offset, reason);
+  };
   const ScopedFd file(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
   if (file.fd < 0) io_failure("cannot open for reading:", path);
   struct stat info {};
@@ -137,8 +127,8 @@ IndexedPcap index_pcap_file(const std::string& path) {
   }
   const auto file_size = static_cast<std::uint64_t>(info.st_size);
   if (file_size < 24) {
-    bad_pcap(path, 0, "truncated global header (" +
-                          std::to_string(file_size) + " of 24 bytes)");
+    throw bad(0, "truncated global header (" + std::to_string(file_size) +
+                     " of 24 bytes)");
   }
 
   IndexedPcap capture;
@@ -159,11 +149,11 @@ IndexedPcap index_pcap_file(const std::string& path) {
       nanoseconds = true;
       break;
     default:
-      bad_pcap(path, 0, "not a pcap file (bad magic)");
+      throw bad(0, "not a pcap file (bad magic)");
   }
   const std::uint16_t major = load16(capture.data.data() + 4, swapped);
   if (major != kVersionMajor) {
-    bad_pcap(path, 4, "unsupported version " + std::to_string(major));
+    throw bad(4, "unsupported version " + std::to_string(major));
   }
   capture.snaplen = load32(capture.data.data() + 16, swapped);
   capture.linktype = load32(capture.data.data() + 20, swapped);
@@ -173,21 +163,20 @@ IndexedPcap index_pcap_file(const std::string& path) {
   // they are, only (timestamp, lengths, offset) go into the index.
   std::uint64_t at = 24;
   while (at < file_size) {
-    if (file_size - at < 16) bad_pcap(path, at, "truncated record header");
+    if (file_size - at < 16) throw bad(at, "truncated record header");
     const std::uint8_t* header = capture.data.data() + at;
     const std::uint32_t ts_sec = load32(header, swapped);
     const std::uint32_t ts_frac = load32(header + 4, swapped);
     const std::uint32_t incl_len = load32(header + 8, swapped);
     if (incl_len > max_record) {
-      bad_pcap(path, at + 8,
-               "implausible record size " + std::to_string(incl_len) +
-                   " (snaplen " + std::to_string(capture.snaplen) + ")");
+      throw bad(at + 8, "implausible record size " + std::to_string(incl_len) +
+                            " (snaplen " + std::to_string(capture.snaplen) +
+                            ")");
     }
     if (file_size - at - 16 < incl_len) {
-      bad_pcap(path, at + 16,
-               "truncated record payload (" +
-                   std::to_string(file_size - at - 16) + " of " +
-                   std::to_string(incl_len) + " bytes)");
+      throw bad(at + 16, "truncated record payload (" +
+                             std::to_string(file_size - at - 16) + " of " +
+                             std::to_string(incl_len) + " bytes)");
     }
     PcapRecordRef ref;
     ref.timestamp_us = static_cast<std::uint64_t>(ts_sec) * 1000000 +

@@ -170,16 +170,13 @@ SeedProfile SeedProfile::load(std::istream& stream, const std::string& name) {
 }
 
 void SeedProfile::save_file(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  CSB_CHECK_MSG(out.is_open(), "cannot open for writing: " << path);
+  std::ofstream out = open_output("seed profile", path);
   save(out);
+  close_output(out, "seed profile", path);
 }
 
 SeedProfile SeedProfile::load_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    throw CsbError("bad seed profile " + path + ": cannot open for reading");
-  }
+  std::ifstream in = open_input("seed profile", path);
   return load(in, path);
 }
 

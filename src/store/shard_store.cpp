@@ -154,7 +154,7 @@ std::uint64_t property_checksum_term(std::uint64_t index,
                                      const EdgeProperties& row) {
   std::uint64_t acc = index ^ 0x9602'0b57'0000'0002ULL;
   zip_netflow_columns([&](auto field) {
-    acc = acc * 31 + static_cast<std::uint64_t>(row.*field);
+    acc = acc * 31 + static_cast<std::uint64_t>(row.*field.member);
   });
   return mix64(acc);
 }
@@ -192,8 +192,18 @@ void ShardStore::begin(const StoreHeader& header) {
   namespace fs = std::filesystem;
   std::error_code ec;
   fs::create_directories(options_.directory, ec);
-  CSB_CHECK_MSG(!ec, "cannot create store directory: " << options_.directory);
+  if (ec) {
+    throw cannot_write("store directory", options_.directory, ec.message());
+  }
 
+  // Creates the shard file at `path` with `bytes` bytes.
+  const auto create = [](const std::string& path, std::uint64_t bytes) {
+    ScopedFd fd(::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644));
+    if (fd.fd < 0 || ::ftruncate(fd.fd, static_cast<off_t>(bytes)) != 0) {
+      throw cannot_write("shard file", path, errno_text());
+    }
+    return fd;
+  };
   shards_.reserve(s_count);
   for (std::uint32_t s = 0; s < s_count; ++s) {
     auto shard = std::make_unique<ShardFile>();
@@ -203,25 +213,12 @@ void ShardStore::begin(const StoreHeader& header) {
     shard->edges = end - shard->first_edge;
     shard->edge_path =
         (fs::path(options_.directory) / shard_file_name("edges", s)).string();
-    shard->edge_fd = ScopedFd(::open(shard->edge_path.c_str(),
-                                     O_RDWR | O_CREAT | O_TRUNC, 0644));
-    CSB_CHECK_MSG(shard->edge_fd.fd >= 0,
-                  "cannot create shard file: " << shard->edge_path);
-    CSB_CHECK_MSG(::ftruncate(shard->edge_fd.fd,
-                              static_cast<off_t>(shard->edges * kEdgeBytes)) == 0,
-                  "cannot size shard file: " << shard->edge_path);
+    shard->edge_fd = create(shard->edge_path, shard->edges * kEdgeBytes);
     if (header.with_properties) {
       shard->prop_path =
           (fs::path(options_.directory) / shard_file_name("props", s)).string();
-      shard->prop_fd = ScopedFd(::open(shard->prop_path.c_str(),
-                                       O_RDWR | O_CREAT | O_TRUNC, 0644));
-      CSB_CHECK_MSG(shard->prop_fd.fd >= 0,
-                    "cannot create shard file: " << shard->prop_path);
-      CSB_CHECK_MSG(
-          ::ftruncate(shard->prop_fd.fd,
-                      static_cast<off_t>(shard->edges *
-                                         PropertyColumns::kRowBytes)) == 0,
-          "cannot size shard file: " << shard->prop_path);
+      shard->prop_fd = create(shard->prop_path,
+                              shard->edges * PropertyColumns::kRowBytes);
     }
     shards_.push_back(std::move(shard));
   }

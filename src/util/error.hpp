@@ -6,9 +6,12 @@
 // right choice for validating external input (files, user parameters).
 #pragma once
 
+#include <cerrno>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <system_error>
 
 namespace csb {
 
@@ -18,6 +21,19 @@ class CsbError : public std::runtime_error {
  public:
   explicit CsbError(const std::string& what) : std::runtime_error(what) {}
 };
+
+/// The text of the current errno. Call it straight after the failed system
+/// call, before anything else can change errno.
+inline std::string errno_text() {
+  return std::error_code(errno, std::generic_category()).message();
+}
+
+/// How every writer reports an output it cannot create, size or write.
+inline CsbError cannot_write(std::string_view kind, const std::string& path,
+                             const std::string& reason) {
+  return CsbError("cannot write " + std::string(kind) + " " + path + ": " +
+                  reason);
+}
 
 namespace detail {
 [[noreturn]] inline void throw_check_failure(const char* expr, const char* file,

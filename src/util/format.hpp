@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
 namespace csb {
@@ -24,5 +25,12 @@ std::string sci(double value, int digits = 3);
 /// CsbError("<what>: <text> out of range (max <max>)").
 std::uint64_t parse_decimal(const std::string& text, const char* what,
                             std::uint64_t max);
+
+/// parse_decimal against the largest value of the unsigned type T.
+template <typename T>
+T parse_decimal(const std::string& text, const char* what) {
+  return static_cast<T>(
+      parse_decimal(text, what, std::numeric_limits<T>::max()));
+}
 
 }  // namespace csb
