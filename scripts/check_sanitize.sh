@@ -27,7 +27,7 @@ cd "$(dirname "$0")/.."
 # optional clang-tidy pass. Cheapest gate, so it fails fastest.
 ./scripts/check_lint.sh
 
-FILTER="${1:-ClusterSim|Dataset|ThreadPool|FlatSet|ListSchedule|Operations|Trace|Metrics|Json|MemWatch|GeneratorRegistry|SimplifyParallel|KronFit|ParallelFor|ForkJoin|ShardStore|ExternalDistinct|PcapFile|FuzzSeed|FlowAssembler|ParallelAssembly|FlowGolden|OnDiskGolden|PropertySampler}"
+FILTER="${1:-ClusterSim|Dataset|ThreadPool|FlatSet|ListSchedule|Operations|Trace|Metrics|Json|MemWatch|GeneratorRegistry|SimplifyParallel|KronFit|ParallelFor|ForkJoin|ShardStore|ExternalDistinct|PcapFile|FuzzSeed|FlowAssembler|ParallelAssembly|FlowGolden|OnDiskGolden|PropertySampler|GraphmlTest|CsvIoTest|NetflowIoTest|TraceParseTest}"
 
 cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -60,11 +60,11 @@ cmake -B build-ubsan -S . \
   -DCSB_BUILD_EXAMPLES=OFF
 cmake --build build-ubsan -j "$(nproc)" \
   --target util_test stats_test graph_test gen_test pcap_test robustness_test \
-  store_test
+  store_test flow_test obs_test
 
 export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
 for suite in util_test stats_test graph_test gen_test pcap_test \
-  robustness_test store_test; do
+  robustness_test store_test flow_test obs_test; do
   "./build-ubsan/tests/${suite}" --gtest_brief=1
 done
 

@@ -7,7 +7,9 @@
 #   - bench/trace_overhead      (the shared bench emitter; also asserts the
 #                                attached-recorder overhead stays bounded)
 # Any schema drift — a missing version tag, an unknown record type, a
-# non-monotone span stream, a dangling parent id — fails the gate. Before
+# non-monotone span stream, a dangling parent id — fails the gate, and so
+# does a `generate --trace` into an unwritable path that runs anyway: it must
+# fail before any generation work and leave no --out behind. Before
 # producing anything, csblint's span-naming rule statically vets every span
 # literal against the documented stage-name grammar.
 #
@@ -55,6 +57,24 @@ echo "== producing traces =="
   --profile="$TMP/seed.profile" --algo=rmat --edges=40000 \
   --no-properties --trace="$TMP/rmat.ndjson"
 "$BUILD/bench/trace_overhead" --assert --reps=3 --json="$TMP/bench.ndjson"
+
+echo "== unwritable --trace fails first =="
+# Into a shard store, which a late failure would leave behind on disk.
+if "$CSBGEN" generate --seed="$TMP/seed.bin" --out="$TMP/never.shards" \
+    --out-format=shards --profile="$TMP/seed.profile" --edges=40000 \
+    --trace="$TMP/no-such-dir/run.ndjson" 2>"$TMP/unwritable.err"; then
+  echo "FAIL: generate with an unwritable --trace exited 0" >&2
+  exit 1
+fi
+if ! grep -q "cannot open trace file $TMP/no-such-dir/run.ndjson for writing" \
+    "$TMP/unwritable.err"; then
+  echo "FAIL: unexpected message: $(cat "$TMP/unwritable.err")" >&2
+  exit 1
+fi
+if [[ -e "$TMP/never.shards" ]]; then
+  echo "FAIL: generate with an unwritable --trace left $TMP/never.shards" >&2
+  exit 1
+fi
 
 echo "== validating =="
 status=0

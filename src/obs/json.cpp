@@ -155,8 +155,7 @@ class Parser {
   JsonValue parse() {
     JsonValue value = parse_value();
     skip_ws();
-    CSB_CHECK_MSG(at_ == text_.size(),
-                  "trailing characters after JSON value at offset " << at_);
+    if (at_ != text_.size()) fail("trailing characters after the value");
     return value;
   }
 

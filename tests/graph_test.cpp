@@ -14,7 +14,9 @@
 #include "graph/graph_io.hpp"
 #include "graph/pagerank.hpp"
 #include "graph/property_graph.hpp"
+#include "input_sweep.hpp"
 #include "util/error.hpp"
+#include "util/input_reader.hpp"
 #include "util/random.hpp"
 #include "util/thread_pool.hpp"
 
@@ -654,25 +656,10 @@ TEST(BinaryIoTest, RejectsOutOfRangeEndpoint) {
 // allocating the columns a corrupted header claims.
 TEST(BinaryIoTest, InputSweepLoadsOrNamesFileAndOffset) {
   const std::string path = ::testing::TempDir() + "/csb_graph_sweep.bin";
-  const auto loads_or_bad_input = [&](const std::string& bytes,
-                                      const std::string& what) {
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out << bytes;
-    }
-    try {
-      (void)load_binary_file(path);
-      return true;
-    } catch (const CsbError& error) {
-      const std::string message = error.what();
-      EXPECT_EQ(message.rfind("bad binary graph " + path + ": byte ", 0), 0u)
-          << what << ": " << message;
-      EXPECT_EQ(message.find("CSB_CHECK failed"), std::string::npos)
-          << what << ": " << message;
-      return false;
-    }
+  const InputLoader load = [](const std::string& file) {
+    (void)load_binary_file(file);
   };
-
+  const std::string prefix = "bad binary graph " + path + ": byte ";
   PropertyGraph structure_only(4);
   structure_only.add_edge(0, 1);
   structure_only.add_edge(3, 2);
@@ -681,28 +668,50 @@ TEST(BinaryIoTest, InputSweepLoadsOrNamesFileAndOffset) {
   for (const auto& [form, bytes] :
        {std::pair{"with properties", small_binary_graph()},
         std::pair{"structure only", structure_bytes.str()}}) {
-    ASSERT_TRUE(loads_or_bad_input(bytes, form));
-    for (std::size_t length = 0; length < bytes.size(); ++length) {
-      EXPECT_FALSE(loads_or_bad_input(
-          bytes.substr(0, length),
-          std::string(form) + " cut to " + std::to_string(length)))
-          << form << " cut to " << length;
-    }
-    for (std::size_t at = 0; at < bytes.size(); ++at) {
-      for (const std::uint8_t mask : {0x01, 0x80, 0xff}) {
-        std::string flipped = bytes;
-        flipped[at] = static_cast<char>(flipped[at] ^ mask);
-        (void)loads_or_bad_input(flipped, std::string(form) + " byte " +
-                                              std::to_string(at) + " ^ " +
-                                              std::to_string(mask));
-      }
-    }
+    SCOPED_TRACE(form);
+    EXPECT_TRUE(sweep_input(path, bytes, load, prefix).empty());
     // Bit 32 of the edge count: 2^32 more edges than the file holds.
     std::string huge = bytes;
     huge[20] = static_cast<char>(huge[20] ^ 0x01);
-    EXPECT_FALSE(loads_or_bad_input(huge, std::string(form) + " edges + 2^32"));
+    EXPECT_FALSE(loads_or_bad_input(path, huge, load, prefix, "edges + 2^32"));
   }
   std::remove(path.c_str());
+}
+
+/// The graphs every text-format sweep covers: 4 vertices and 3 edges, with
+/// properties (a UDP and a TCP row) and as structure alone.
+std::vector<std::pair<std::string, PropertyGraph>> sweep_graphs() {
+  PropertyGraph props(4);
+  EdgeProperties tcp = sample_props();
+  tcp.protocol = Protocol::kTcp;
+  tcp.state = ConnState::kSF;
+  props.add_edge(0, 1, sample_props());
+  props.add_edge(1, 2, tcp);
+  props.add_edge(3, 0, sample_props());
+  PropertyGraph structure(4);
+  structure.add_edge(0, 1);
+  structure.add_edge(3, 2);
+  return {{"with properties", props}, {"structure only", structure}};
+}
+
+/// Runs the input sweep over sweep_graphs() written by `save`, reading each
+/// variant as the format registry does: opened by path, then `load`.
+void sweep_text_format(void (*save)(const PropertyGraph&, std::ostream&),
+                       PropertyGraph (*load)(std::istream&,
+                                             const std::string&),
+                       const std::string& kind, const std::string& unit,
+                       const std::string& path) {
+  const InputLoader loader = [&](const std::string& file) {
+    std::ifstream in = open_input(kind, file);
+    (void)load(in, file);
+  };
+  for (const auto& [form, graph] : sweep_graphs()) {
+    SCOPED_TRACE(form);
+    std::stringstream text;
+    save(graph, text);
+    (void)sweep_input(path, text.str(), loader,
+                      "bad " + kind + " " + path + ": " + unit + " ");
+  }
 }
 
 TEST(CsvIoTest, RoundTripsWithProperties) {
@@ -793,6 +802,64 @@ TEST(CsvIoTest, MalformedInputNamesFileAndLine) {
                     ": " + c.reason);
     }
   }
+}
+
+TEST(CsvIoTest, InputSweepLoadsOrNamesFileAndLine) {
+  sweep_text_format(save_csv, load_csv, "csv graph", "line",
+                    ::testing::TempDir() + "/csb_graph_sweep.csv");
+}
+
+TEST(GraphmlTest, InputSweepLoadsOrNamesFileAndOffset) {
+  sweep_text_format(save_graphml, load_graphml, "GraphML", "byte",
+                    ::testing::TempDir() + "/csb_graph_sweep.graphml");
+}
+
+// A src_port that does not fit its column, is negative or carries junk is
+// bad input at the byte its value starts; a <data> element that runs into
+// the next tag instead of its </data> is bad input at the element.
+TEST(GraphmlTest, RejectsBadValuesAtTheirByteOffset) {
+  PropertyGraph g(2);
+  g.add_edge(0, 1, sample_props());  // src_port 5353
+  std::stringstream xml;
+  save_graphml(g, xml);
+  const std::string doc = xml.str();
+  const std::string tag = "<data key=\"src_port\">";
+  const std::size_t tag_at = doc.find(tag);
+  ASSERT_NE(tag_at, std::string::npos);
+  const std::size_t value_at = tag_at + tag.size();
+  ASSERT_EQ(doc.substr(value_at, 11), "5353</data>");
+  const auto edited = [&](std::size_t length, const std::string& text) {
+    return std::string(doc).replace(value_at, length, text);
+  };
+  const struct {
+    std::string text;
+    std::size_t at;
+    std::string reason;
+  } cases[] = {
+      {edited(4, "70000"), value_at,
+       "src_port: 70000 out of range (max 65535)"},
+      {edited(4, "-1"), value_at, "src_port: not a number: '-1'"},
+      {edited(4, "5x"), value_at, "src_port: not a number: '5x'"},
+      {edited(11, "5353"), tag_at, "unterminated GraphML data element"},
+  };
+  const std::string path = ::testing::TempDir() + "/csb_graphml_bad.graphml";
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.reason);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << c.text;
+    }
+    try {
+      std::ifstream in = open_input("GraphML", path);
+      (void)load_graphml(in, path);
+      ADD_FAILURE() << "loaded";
+    } catch (const CsbError& error) {
+      EXPECT_EQ(std::string(error.what()),
+                "bad GraphML " + path + ": byte " + std::to_string(c.at) +
+                    ": " + c.reason);
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(GraphmlTest, ContainsNodesEdgesAndAttributes) {

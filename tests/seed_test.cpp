@@ -16,6 +16,7 @@
 #include "pcap/pcap_file.hpp"
 #include "seed/seed.hpp"
 #include "trace/traffic_model.hpp"
+#include "input_sweep.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
@@ -274,32 +275,19 @@ TEST(SeedProfileIoTest, FileRoundTripAndErrors) {
 
 // Every truncation of a valid profile file either loads or is rejected as
 // bad input naming the file and a byte offset — never as a failed internal
-// check.
+// check. Only the whole file loads.
 TEST(SeedProfileIoTest, TruncationSweepNamesFileAndOffset) {
   const SeedBundle bundle = build_seed_from_netflow(tiny_records());
   std::stringstream full;
   bundle.profile.save(full);
-  const std::string bytes = full.str();
   const std::string path = ::testing::TempDir() + "/csb_profile_sweep.bin";
-  std::size_t loaded = 0;
-  for (std::size_t length = 0; length <= bytes.size(); ++length) {
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out.write(bytes.data(), static_cast<std::streamsize>(length));
-    }
-    try {
-      (void)SeedProfile::load_file(path);
-      ++loaded;
-    } catch (const CsbError& error) {
-      const std::string message = error.what();
-      EXPECT_EQ(message.rfind("bad seed profile " + path + ": byte ", 0), 0u)
-          << "length " << length << ": " << message;
-      EXPECT_EQ(message.find("CSB_CHECK failed"), std::string::npos)
-          << "length " << length << ": " << message;
-    }
-  }
-  EXPECT_EQ(loaded, 1u) << "only the whole file should load";
-  std::remove(path.c_str());
+  const InputLoader load = [](const std::string& file) {
+    (void)SeedProfile::load_file(file);
+  };
+  EXPECT_TRUE(sweep_input(path, full.str(), load,
+                          "bad seed profile " + path + ": byte ",
+                          /*flip_span=*/0)
+                  .empty());
 }
 
 // A probability with its sign bit flipped is bad input at that field's
